@@ -13,48 +13,26 @@ namespace dnscup::core {
 
 namespace {
 
-/// Resolves the deprecated always_grant alias into `policy` so the two
-/// fields can never disagree downstream, and defaults the notifier's
-/// registry to the authority-wide one.
+/// Defaults the notifier's registry to the authority-wide one.
 DnscupAuthority::Config normalize(DnscupAuthority::Config config) {
-  if (config.always_grant) {
-    config.policy = DnscupAuthority::PolicyKind::kAlwaysGrant;
-  }
   if (config.notification.metrics == nullptr) {
     config.notification.metrics = config.metrics;
   }
   return config;
 }
 
-std::unique_ptr<GrantPolicy> make_base_policy(
-    const DnscupAuthority::Config& config, const TrackFile* track_file) {
+std::unique_ptr<GrantPolicy> make_policy(
+    const DnscupAuthority::Config& config) {
   DNSCUP_ASSERT(config.max_lease != nullptr);
-  using PolicyKind = DnscupAuthority::PolicyKind;
-  switch (config.policy) {
-    case PolicyKind::kAlwaysGrant:
-      return std::make_unique<AlwaysGrantPolicy>(config.max_lease);
-    case PolicyKind::kCommBudget: {
-      CommBudgetedGrantPolicy::Config policy_config;
-      policy_config.message_budget = config.message_budget;
-      return std::make_unique<CommBudgetedGrantPolicy>(config.max_lease,
-                                                       policy_config);
-    }
-    case PolicyKind::kStorageBudget:
-      break;
+  if (config.planner == nullptr) {
+    return std::make_unique<AlwaysGrantPolicy>(config.max_lease);
   }
-  BudgetedGrantPolicy::Config policy_config;
-  policy_config.storage_budget = config.storage_budget;
-  return std::make_unique<BudgetedGrantPolicy>(config.max_lease, track_file,
-                                               policy_config);
+  return std::make_unique<PlannerGrantPolicy>(config.max_lease,
+                                              config.planner);
 }
 
-std::unique_ptr<GrantPolicy> make_policy(const DnscupAuthority::Config& config,
-                                         const TrackFile* track_file) {
-  auto base = make_base_policy(config, track_file);
-  if (config.planner == nullptr) return base;
-  return std::make_unique<PlannerGrantPolicy>(config.max_lease, config.planner,
-                                              std::move(base));
-}
+/// Minimum spacing of expiry sweeps (see schedule_sweep).
+constexpr net::Duration kSweepGap = net::seconds(1);
 
 }  // namespace
 
@@ -64,8 +42,9 @@ DnscupAuthority::DnscupAuthority(server::AuthServer& server,
       loop_(&loop),
       config_(normalize(std::move(config))),
       track_file_(config_.metrics),
-      policy_(make_policy(config_, &track_file_)),
-      listener_(&track_file_, policy_.get(), config_.metrics),
+      policy_(make_policy(config_)),
+      listener_(&track_file_, policy_.get(), config_.storage_budget,
+                config_.metrics),
       notifier_(&server.transport(), &loop, &track_file_,
                 config_.notification) {
   auto& registry = metrics::resolve(config_.metrics);
@@ -86,23 +65,18 @@ DnscupAuthority::DnscupAuthority(server::AuthServer& server,
 
   track_file_.set_journal(config_.journal);
 
-  // The planner wrapper's no-RRC fallback reads the listener's observed
-  // rates; wired here because the listener is constructed after the
-  // policy (it holds the policy pointer).
-  if (config_.planner != nullptr) {
-    static_cast<PlannerGrantPolicy&>(*policy_).set_observed_rates(
-        &listener_.observed_rates());
-  }
-
   // Listening module: sees every query/response pair.
   server_->set_query_hook([this](const net::Endpoint& from,
                                  const dns::Message& query,
                                  dns::Message& response) {
-    listener_.on_query(from, query, response, loop_->now());
+    const net::SimTime now = loop_->now();
+    const net::Duration granted =
+        listener_.on_query(from, query, response, now);
+    if (granted > 0) schedule_sweep(now + granted);
   });
   // Zero-copy twin of the above for plain legacy queries: on_query never
   // mutates the response for non-EXT queries, so the fast path only needs
-  // the rate observation and the legacy counter replicated.
+  // the legacy counter replicated.
   server_->set_fast_query_hook([this](const net::Endpoint&,
                                       const dns::NameView& qname,
                                       dns::RRType qtype) {
@@ -137,6 +111,8 @@ DnscupAuthority::DnscupAuthority(server::AuthServer& server,
       /*may_consume_queries=*/false);
 }
 
+DnscupAuthority::~DnscupAuthority() { expiry_timer_.cancel(); }
+
 DnscupAuthority::DetectionStats DnscupAuthority::detection_stats() const {
   return DetectionStats{
       .change_events = detection_stats_.change_events,
@@ -167,7 +143,7 @@ DnscupAuthority::RecoveryReport DnscupAuthority::recover(
   }
   recovered_leases_.set(static_cast<double>(report.leases_restored));
 
-  // 2. Re-arm expiry so recovered leases leave the track file (and the
+  // 2. Arm expiry so recovered leases leave the track file (and the
   // durable store) on schedule even with no query traffic.
   arm_expiry_timer();
 
@@ -261,18 +237,30 @@ std::vector<bool> DnscupAuthority::readopt(
   return verdicts;
 }
 
-void DnscupAuthority::arm_expiry_timer() {
+void DnscupAuthority::schedule_sweep(net::SimTime expiry) {
+  const net::SimTime at = std::max(expiry, last_sweep_ + kSweepGap);
+  if (expiry_timer_.active() && sweep_at_ <= at) return;
   expiry_timer_.cancel();
+  sweep_at_ = at;
+  expiry_timer_ = loop_->schedule_at(at, [this] { sweep(); });
+}
+
+void DnscupAuthority::arm_expiry_timer() {
   net::SimTime earliest = std::numeric_limits<net::SimTime>::max();
   track_file_.for_each([&](const Lease& lease) {
     earliest = std::min(earliest, lease.expiry());
   });
-  if (earliest == std::numeric_limits<net::SimTime>::max()) return;
-  expiry_timer_ = loop_->schedule_at(earliest, [this] {
-    track_file_.prune(loop_->now());
-    refresh_gauges();
-    arm_expiry_timer();
-  });
+  if (earliest != std::numeric_limits<net::SimTime>::max()) {
+    schedule_sweep(earliest);
+  }
+}
+
+void DnscupAuthority::sweep() {
+  expiry_timer_ = {};  // fired: active() now means "a sweep is pending"
+  last_sweep_ = loop_->now();
+  track_file_.prune(last_sweep_);
+  refresh_gauges();
+  arm_expiry_timer();
 }
 
 }  // namespace dnscup::core

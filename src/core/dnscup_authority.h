@@ -14,6 +14,7 @@
 // deployment claim.
 #pragma once
 
+#include <limits>
 #include <memory>
 
 #include "core/listener.h"
@@ -27,27 +28,20 @@ namespace dnscup::core {
 
 class DnscupAuthority {
  public:
-  enum class PolicyKind {
-    kStorageBudget,  ///< §4.2.1 online: cap the live-lease count
-    kCommBudget,     ///< §4.2.2 online: cap authority-bound traffic
-    kAlwaysGrant,    ///< fixed-lease mode: every EXT query gets max lease
-  };
-
   struct Config {
     MaxLeaseFn max_lease;                       ///< required
-    PolicyKind policy = PolicyKind::kStorageBudget;
-    std::size_t storage_budget = 100000;        ///< live-lease target
-    double message_budget = 1e6;                ///< messages/s (kCommBudget)
+    /// Hard bound on the track file: once the authority tracks this many
+    /// leases, a grant to a pair without a valid lease is refused
+    /// (renewals always pass), so outside input cannot grow lease state
+    /// without limit.  Applied after the grant policy decides.
+    std::size_t storage_budget = 100000;
     NotificationModule::Config notification;    ///< retransmit behaviour
-    /// Deprecated alias for policy = kAlwaysGrant.  Normalized into
-    /// `policy` by the constructor, so the two can never disagree.
-    bool always_grant = false;
-    /// Online lease planner (not owned, may be null).  When set, the
-    /// grant policy selected above becomes the *fallback*: every EXT
-    /// decision feeds the planner an observation and grants whatever
-    /// lease length the planner assigned the (cache, record) pair —
-    /// falling back to the configured policy only until the planner has
-    /// processed the pair (see PlannerGrantPolicy).
+    /// Online lease planner (not owned, may be null).  Null: every EXT
+    /// query gets the record's maximal lease (AlwaysGrantPolicy, the
+    /// paper's fixed-lease baseline).  Set: every EXT decision feeds the
+    /// planner an observation and grants whatever lease length it
+    /// assigned the (cache, record) pair — denying pairs it has not
+    /// planned yet (PlannerGrantPolicy).
     LeaseAssignmentSource* planner = nullptr;
     /// Registry for authority/track-file/listener/notifier instruments
     /// (default_registry() when null).
@@ -62,15 +56,16 @@ class DnscupAuthority {
   /// Attaches DNScup to `server`.  The server must outlive this object.
   DnscupAuthority(server::AuthServer& server, net::EventLoop& loop,
                   Config config);
+  /// Cancels the pending expiry sweep, whose callback holds `this`.
+  ~DnscupAuthority();
+  DnscupAuthority(const DnscupAuthority&) = delete;
+  DnscupAuthority& operator=(const DnscupAuthority&) = delete;
 
   TrackFile& track_file() { return track_file_; }
   const TrackFile& track_file() const { return track_file_; }
   ListeningModule& listener() { return listener_; }
   NotificationModule& notifier() { return notifier_; }
   GrantPolicy& policy() { return *policy_; }
-
-  /// The policy actually in effect after deprecated-alias normalization.
-  PolicyKind policy_kind() const { return config_.policy; }
 
   struct DetectionStats {
     uint64_t change_events = 0;
@@ -93,7 +88,7 @@ class DnscupAuthority {
   };
 
   /// Crash recovery: re-adopts the surviving lease set from the durable
-  /// store, re-arms the expiry (prune) timer, and resumes CACHE-UPDATE
+  /// store, arms the expiry (prune) sweep, and resumes CACHE-UPDATE
   /// fan-out — any zone whose serial no longer matches the last serial
   /// the leaseholders were notified about is pushed to every surviving
   /// holder.  Call once, after zones are loaded and before serving.
@@ -119,10 +114,19 @@ class DnscupAuthority {
                             const std::vector<ReadoptRequest>& requests);
 
  private:
-  /// Schedules a prune at the earliest lease expiry (re-armed after every
-  /// sweep), so expired tuples leave the track file — and the durable
-  /// store — without waiting for traffic.
+  /// Expired tuples leave the track file — and the durable store — in a
+  /// sweep at the earliest lease expiry, without waiting for traffic, so
+  /// the storage bound counts only leases that may still be in force.
+  /// Sweeps are coalesced to at most one per second: each is an
+  /// O(leases) walk.
+  ///
+  /// Arms the sweep for a lease expiring at `expiry` unless one is
+  /// already pending no later than that.  O(1): called on every grant.
+  void schedule_sweep(net::SimTime expiry);
+  /// Arms the sweep at the track file's earliest expiry (an O(leases)
+  /// walk; recovery, re-adoption and each sweep call it).
   void arm_expiry_timer();
+  void sweep();
   struct Instruments {
     metrics::Counter change_events;
     metrics::Counter rrsets_changed;
@@ -142,7 +146,9 @@ class DnscupAuthority {
   metrics::Counter recovery_changes_pushed_;
   metrics::Counter readoptions_resumed_;
   metrics::Counter readoptions_rejected_;
-  net::TimerHandle expiry_timer_;
+  net::TimerHandle expiry_timer_;  ///< active() while a sweep is pending
+  net::SimTime sweep_at_ = 0;      ///< when the pending sweep fires
+  net::SimTime last_sweep_ = std::numeric_limits<net::SimTime>::min();
 };
 
 }  // namespace dnscup::core

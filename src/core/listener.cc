@@ -3,8 +3,9 @@
 namespace dnscup::core {
 
 ListeningModule::ListeningModule(TrackFile* track_file, GrantPolicy* policy,
+                                 std::size_t lease_bound,
                                  metrics::MetricsRegistry* metrics)
-    : track_file_(track_file), policy_(policy) {
+    : track_file_(track_file), policy_(policy), lease_bound_(lease_bound) {
   auto& registry = metrics::resolve(metrics);
   const metrics::Labels base{
       {"instance", registry.next_instance("listener")}};
@@ -21,10 +22,6 @@ ListeningModule::ListeningModule(TrackFile* track_file, GrantPolicy* policy,
                                            labeled("result", "granted"));
   stats_.leases_denied = registry.counter("listener_lease_decisions",
                                           labeled("result", "denied"));
-  // Estimator-state occupancy: the tracker self-prunes idle keys under
-  // traffic; this gauge is how a 10M-pair authority watches that working.
-  observed_.set_keys_gauge(
-      registry.gauge("listener_rate_tracker_keys", base));
 }
 
 ListeningModule::Stats ListeningModule::stats() const {
@@ -36,42 +33,48 @@ ListeningModule::Stats ListeningModule::stats() const {
   };
 }
 
-void ListeningModule::on_query(const net::Endpoint& from,
-                               const dns::Message& query,
-                               dns::Message& response, net::SimTime now) {
-  if (query.questions.size() != 1) return;
+net::Duration ListeningModule::on_query(const net::Endpoint& from,
+                                        const dns::Message& query,
+                                        dns::Message& response,
+                                        net::SimTime now) {
+  if (query.questions.size() != 1) return 0;
   const dns::Question& q = query.questions[0];
-  observed_.record(q.qname, q.qtype, now);
 
   if (!query.flags.ext) {
     ++stats_.legacy_queries;
-    return;  // TTL-only cache; nothing to negotiate
+    return 0;  // TTL-only cache; nothing to negotiate
   }
   ++stats_.ext_queries;
 
   // Lease only positive authoritative answers to the question itself.
   if (response.flags.rcode != dns::Rcode::kNoError || !response.flags.aa ||
       response.answers.empty()) {
-    return;
+    return 0;
   }
 
   const double reported = dns::rrc_to_rate(q.rrc);
-  const GrantDecision decision =
+  GrantDecision decision =
       policy_->decide(q.qname, q.qtype, from, reported, now);
+  if (decision.grant && track_file_->size() >= lease_bound_) {
+    // At the storage bound only a renewal may land: outside input cannot
+    // grow the track file past it.
+    const Lease* lease = track_file_->find(from, q.qname, q.qtype);
+    decision.grant = lease != nullptr && lease->valid(now);
+  }
   if (!decision.grant) {
     ++stats_.leases_denied;
-    return;
+    return 0;
   }
   track_file_->grant(from, q.qname, q.qtype, now, decision.length);
   ++stats_.leases_granted;
   response.flags.ext = true;
   response.llt = dns::llt_from_seconds(
       static_cast<uint64_t>(net::to_seconds(decision.length)));
+  return decision.length;
 }
 
-void ListeningModule::on_query_view(const dns::NameView& qname,
-                                    dns::RRType qtype, net::SimTime now) {
-  observed_.record_view(qname, qtype, now);
+void ListeningModule::on_query_view(const dns::NameView&, dns::RRType,
+                                    net::SimTime) {
   ++stats_.legacy_queries;
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/policy.h"
-#include "core/rate_tracker.h"
 #include "core/track_file.h"
 #include "dns/message.h"
 #include "net/time.h"
@@ -27,9 +26,13 @@ class ListeningModule {
     uint64_t leases_denied = 0;
   };
 
-  /// Neither the track file nor the policy is owned.  Counters register in
-  /// `metrics` (default_registry() when null) under listener_*.
+  /// Neither the track file nor the policy is owned.  `lease_bound` caps
+  /// the track file: once it holds that many tuples, a grant to a pair
+  /// without a valid lease is refused (renewals still pass).  Counters
+  /// register in `metrics` (default_registry() when null) under
+  /// listener_*.
   ListeningModule(TrackFile* track_file, GrantPolicy* policy,
+                  std::size_t lease_bound,
                   metrics::MetricsRegistry* metrics = nullptr);
 
   /// AuthServer query-hook entry point: inspects the query, possibly
@@ -37,19 +40,16 @@ class ListeningModule {
   /// answers are leased — there is nothing to push for a referral, and
   /// negative answers change when names appear, which the detection module
   /// reports as RRset additions only for previously-leased names.
-  void on_query(const net::Endpoint& from, const dns::Message& query,
-                dns::Message& response, net::SimTime now);
+  /// Returns the granted lease length, 0 when no lease was granted.
+  net::Duration on_query(const net::Endpoint& from, const dns::Message& query,
+                         dns::Message& response, net::SimTime now);
 
   /// AuthServer fast-query-hook entry point: the allocation-free twin of
   /// on_query for plain legacy queries (no EXT flag, so no lease grant and
-  /// no response mutation) — records the observed rate and counts the
-  /// query.  Must stay behaviorally identical to on_query's legacy branch.
+  /// no response mutation) — counts the query.  Must stay behaviorally
+  /// identical to on_query's legacy branch.
   void on_query_view(const dns::NameView& qname, dns::RRType qtype,
                      net::SimTime now);
-
-  /// Observed (not reported) per-record query rates, for re-negotiation
-  /// audits and the workload analyses.
-  const RateTracker& observed_rates() const { return observed_; }
 
   /// Value snapshot of the registry-backed counters.
   Stats stats() const;
@@ -64,7 +64,7 @@ class ListeningModule {
 
   TrackFile* track_file_;
   GrantPolicy* policy_;
-  RateTracker observed_;
+  std::size_t lease_bound_;
   Instruments stats_;
 };
 

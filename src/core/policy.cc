@@ -1,7 +1,6 @@
 #include "core/policy.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dnscup::core {
 
@@ -18,133 +17,23 @@ GrantDecision AlwaysGrantPolicy::decide(const dns::Name& name,
   return {true, length};
 }
 
-BudgetedGrantPolicy::BudgetedGrantPolicy(MaxLeaseFn max_lease,
-                                         const TrackFile* track_file,
-                                         Config config)
-    : max_lease_(std::move(max_lease)),
-      track_file_(track_file),
-      config_(config),
-      threshold_(config.initial_threshold) {}
-
-std::size_t BudgetedGrantPolicy::live_count(net::SimTime now) {
-  if (live_refreshed_at_ < 0 || now - live_refreshed_at_ >= net::seconds(1)) {
-    cached_live_ = track_file_->live_count(now);
-    live_refreshed_at_ = now;
-  }
-  return cached_live_;
-}
-
-GrantDecision BudgetedGrantPolicy::decide(const dns::Name& name,
-                                          dns::RRType type,
-                                          const net::Endpoint& holder,
-                                          double reported_rate,
-                                          net::SimTime now) {
-  const net::Duration length = max_lease_(name, type);
-  if (length <= 0) return {};
-
-  const std::size_t live = live_count(now);
-  const bool renewal = [&] {
-    const Lease* lease = track_file_->find(holder, name, type);
-    return lease != nullptr && lease->valid(now);
-  }();
-
-  if (live >= config_.storage_budget && !renewal) {
-    // Over budget: refuse, and raise the admission bar to just above the
-    // refused rate.  The bar never grows multiplicatively (an unbounded
-    // ratchet would lock everyone out after a burst of hot rejections);
-    // it converges toward the marginal — budget-th highest — query rate,
-    // which is exactly the offline greedy's cut.
-    threshold_ = std::max(threshold_, reported_rate * 1.01);
-    return {};
-  }
-  // Under budget: decay the threshold so admission loosens over time.
-  threshold_ *= config_.threshold_decay;
-  if (reported_rate < threshold_) return {};
-  return {true, length};
-}
-
-CommBudgetedGrantPolicy::CommBudgetedGrantPolicy(MaxLeaseFn max_lease,
-                                                 Config config)
-    : max_lease_(std::move(max_lease)), config_(config) {}
-
-void CommBudgetedGrantPolicy::observe_message(net::SimTime now) {
-  if (last_message_ < 0) {
-    last_message_ = now;
-    return;
-  }
-  const double dt = net::to_seconds(std::max<net::Duration>(
-      now - last_message_, net::microseconds(1)));
-  last_message_ = now;
-  const double sample = 1.0 / dt;
-  const double horizon = net::to_seconds(config_.rate_horizon);
-  const double alpha = std::min(1.0, dt / horizon);
-  rate_estimate_ = alpha * sample + (1.0 - alpha) * rate_estimate_;
-}
-
-double CommBudgetedGrantPolicy::measured_message_rate(
-    net::SimTime now) const {
-  if (last_message_ < 0) return 0.0;
-  // Decay the estimate across the silent gap since the last message.
-  const double dt = net::to_seconds(std::max<net::Duration>(
-      now - last_message_, 0));
-  const double horizon = net::to_seconds(config_.rate_horizon);
-  return rate_estimate_ * std::exp(-dt / horizon);
-}
-
-GrantDecision CommBudgetedGrantPolicy::decide(const dns::Name& name,
-                                              dns::RRType type,
-                                              const net::Endpoint& holder,
-                                              double reported_rate,
-                                              net::SimTime now) {
-  (void)holder;
-  // Every decision corresponds to a message that reached the authority.
-  observe_message(now);
-
-  const net::Duration length = max_lease_(name, type);
-  if (length <= 0) return {};
-
-  const double measured = measured_message_rate(now);
-  if (measured > config_.message_budget) {
-    // Budget threatened: leasing is the only way down — admit everyone.
-    threshold_ = 0.0;
-  } else if (measured < config_.message_budget * config_.headroom) {
-    // Comfortable headroom: creep the bar up to deprive low-rate caches
-    // (storage reclaim, §4.2.2's smallest-λ-first deprivation order).
-    threshold_ = std::max(threshold_ * config_.threshold_growth,
-                          1e-6);
-  } else {
-    threshold_ *= config_.threshold_decay;
-  }
-  if (reported_rate < threshold_) return {};
-  return {true, length};
-}
-
 GrantDecision PlannerGrantPolicy::decide(const dns::Name& name,
                                          dns::RRType type,
                                          const net::Endpoint& holder,
                                          double reported_rate,
                                          net::SimTime now) {
+  (void)now;
   const net::Duration max_lease = max_lease_(name, type);
-  if (max_lease <= 0) return {};
-
-  double rate = reported_rate;
-  if (rate <= 0.0 && observed_ != nullptr) {
-    rate = observed_->rate(name, type, now);
-  }
+  if (max_lease <= 0 || reported_rate <= 0.0) return {};
   // Probe before observing: the answer reflects the plan as of query
-  // arrival, so a pair's first-ever query deterministically falls
-  // through to the wrapped policy however fast the planner thread
-  // drains the observation just queued.
+  // arrival, so a pair's first-ever query is deterministically denied
+  // however fast the planner thread drains the observation just queued.
   const LeaseAssignmentSource::Assignment a =
       planner_->assignment(holder, name, type);
-  if (rate > 0.0) {
-    planner_->observe(holder, name, type, rate, net::to_seconds(max_lease));
-  }
-  if (a.planned) {
-    if (a.lease_s <= 0.0) return {};  // deprived: cache polls via TTL
-    return {true, std::min(max_lease, net::from_seconds(a.lease_s))};
-  }
-  return fallback_->decide(name, type, holder, rate, now);
+  planner_->observe(holder, name, type, reported_rate,
+                    net::to_seconds(max_lease));
+  if (!a.planned || a.lease_s <= 0.0) return {};
+  return {true, std::min(max_lease, net::from_seconds(a.lease_s))};
 }
 
 }  // namespace dnscup::core

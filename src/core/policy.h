@@ -1,24 +1,20 @@
 // Online lease-grant policies.
 //
-// The offline optimizers (dynamic_lease.h) assume rate snapshots; a live
-// authority must decide per query.  A GrantPolicy sees each query's name,
-// the requesting cache, and the RRC-reported (or locally estimated) query
-// rate, and answers grant/deny plus a lease length.
+// A GrantPolicy sees each EXT query's name, the requesting cache and the
+// RRC-reported query rate, and answers grant/deny plus a lease length.
+// Each authority configuration runs exactly one:
 //
-// BudgetedGrantPolicy approximates the storage-constrained dynamic lease
-// online: it grants the per-record maximal length while the live-lease
-// count stays under budget, and adapts a minimum-rate admission threshold
-// so that under pressure only the highest-rate caches keep leases —
-// mirroring the greedy's highest-λ-first order.  When a cache later
-// reports a significantly different RRC, the next grant renegotiates the
-// term automatically (paper §5.1.2's re-negotiation note).
+//   no planner  AlwaysGrantPolicy — every EXT query gets the record's
+//               maximal lease (the paper's fixed-lease baseline);
+//   planner     PlannerGrantPolicy — the online lease planner's
+//               assignment (paper §4.2 run live, src/planner).
+//
+// The authority's lease-storage bound (DnscupAuthority::Config::
+// storage_budget) is applied after the policy, not inside it.
 #pragma once
 
 #include <functional>
-#include <memory>
 
-#include "core/rate_tracker.h"
-#include "core/track_file.h"
 #include "dns/name.h"
 #include "dns/rdata.h"
 #include "net/endpoint.h"
@@ -36,7 +32,7 @@ class GrantPolicy {
   virtual ~GrantPolicy() = default;
 
   /// `reported_rate` is the cache's RRC in queries/second (0 when the
-  /// querier sent none — a legacy, TTL-only cache).
+  /// querier reported none).
   virtual GrantDecision decide(const dns::Name& name, dns::RRType type,
                                const net::Endpoint& holder,
                                double reported_rate, net::SimTime now) = 0;
@@ -61,7 +57,7 @@ class LeaseAssignmentSource {
 
   struct Assignment {
     /// False until the planner has processed at least one observation for
-    /// the pair — the caller should fall back to its own policy.
+    /// the pair.
     bool planned = false;
     /// Assigned lease length in seconds; 0 means the optimizer deprived
     /// the pair (deny, cache falls back to TTL polling).
@@ -71,8 +67,8 @@ class LeaseAssignmentSource {
   virtual Assignment assignment(const net::Endpoint& holder,
                                 const dns::Name& name, dns::RRType type) = 0;
 
-  /// `rate_qps` is the demand estimate for the pair (RRC-reported, or the
-  /// authority's RateTracker fallback); `max_lease_s` is L_i in seconds.
+  /// `rate_qps` is the pair's RRC-reported demand; `max_lease_s` is L_i
+  /// in seconds.
   virtual void observe(const net::Endpoint& holder, const dns::Name& name,
                        dns::RRType type, double rate_qps,
                        double max_lease_s) = 0;
@@ -102,119 +98,25 @@ class NeverGrantPolicy final : public GrantPolicy {
   }
 };
 
-class BudgetedGrantPolicy final : public GrantPolicy {
- public:
-  struct Config {
-    std::size_t storage_budget = 10000;  ///< target live-lease count
-    /// Under-budget threshold decay per decision; higher reacts slower.
-    double threshold_decay = 0.98;
-    double initial_threshold = 0.0;      ///< queries/second
-  };
-
-  /// `track_file` supplies the live-lease count (not owned).
-  BudgetedGrantPolicy(MaxLeaseFn max_lease, const TrackFile* track_file,
-                      Config config);
-
-  GrantDecision decide(const dns::Name& name, dns::RRType type,
-                       const net::Endpoint& holder, double reported_rate,
-                       net::SimTime now) override;
-
-  double threshold() const { return threshold_; }
-
- private:
-  std::size_t live_count(net::SimTime now);
-
-  MaxLeaseFn max_lease_;
-  const TrackFile* track_file_;
-  Config config_;
-  double threshold_;
-  // live_count() walks the whole track file; cache it for up to a second
-  // of simulated time so per-query cost stays O(1).
-  net::SimTime live_refreshed_at_ = -1;
-  std::size_t cached_live_ = 0;
-};
-
-/// Online approximation of the communication-constrained dynamic lease
-/// (§4.2.2): minimize lease storage subject to a cap on authority-bound
-/// message traffic.
-///
-/// Leasing always *reduces* traffic (renewals replace polling), so the
-/// all-leased state is the communication minimum; storage is reclaimed by
-/// depriving the lowest-rate caches — exactly while the measured message
-/// rate stays under budget.  The policy tracks the authority's incoming
-/// message rate with an EWMA and adapts a deprivation threshold: grants
-/// go to every cache whose reported rate is at or above the threshold;
-/// the threshold creeps up (denying more low-rate caches, saving storage)
-/// while traffic is comfortably under budget, and drops toward zero
-/// (leasing everyone, the traffic minimum) when the budget is threatened.
-class CommBudgetedGrantPolicy final : public GrantPolicy {
- public:
-  struct Config {
-    double message_budget = 100.0;  ///< messages/second allowance
-    /// EWMA horizon for the measured message rate.
-    net::Duration rate_horizon = net::minutes(5);
-    /// Threshold adaptation per decision.
-    double threshold_growth = 1.02;
-    double threshold_decay = 0.90;
-    /// Budget headroom below which the threshold may grow.
-    double headroom = 0.8;
-  };
-
-  CommBudgetedGrantPolicy(MaxLeaseFn max_lease, Config config);
-
-  GrantDecision decide(const dns::Name& name, dns::RRType type,
-                       const net::Endpoint& holder, double reported_rate,
-                       net::SimTime now) override;
-
-  /// Current EWMA estimate of authority-bound messages/second.
-  double measured_message_rate(net::SimTime now) const;
-  double threshold() const { return threshold_; }
-
- private:
-  void observe_message(net::SimTime now);
-
-  MaxLeaseFn max_lease_;
-  Config config_;
-  double threshold_ = 0.0;
-  // EWMA of the inter-arrival rate of messages reaching the authority.
-  double rate_estimate_ = 0.0;
-  net::SimTime last_message_ = -1;
-};
-
-/// Grants what the online lease planner assigned (paper §4.2 run live):
-/// every EXT decision feeds the planner an observation — the reported RRC
-/// when present, the authority's own RateTracker estimate otherwise — and
-/// the granted length is the planner's current assignment for the pair,
-/// capped at the record's maximal lease.  A pair the optimizer deprived
-/// (assigned length 0) is denied.  Until the planner has processed the
-/// pair's first observation the wrapped fallback policy decides, so cold
-/// starts behave exactly like the planner-less authority.
+/// Grants what the online lease planner assigned (paper §4.2 run live).
+/// Every EXT decision with a positive RRC feeds the planner one
+/// observation, and the granted length is the planner's assignment for
+/// the pair, capped at the record's maximal lease.  The pair is denied —
+/// plain TTL semantics — while the planner has not planned it yet, when
+/// the plan deprived it (assigned length 0), and when the cache reported
+/// RRC 0 (no demand to plan for).
 class PlannerGrantPolicy final : public GrantPolicy {
  public:
-  PlannerGrantPolicy(MaxLeaseFn max_lease, LeaseAssignmentSource* planner,
-                     std::unique_ptr<GrantPolicy> fallback)
-      : max_lease_(std::move(max_lease)),
-        planner_(planner),
-        fallback_(std::move(fallback)) {}
-
-  /// Observed-rate fallback for EXT queries carrying no RRC (not owned;
-  /// the ListeningModule's tracker, wired by DnscupAuthority after
-  /// construction because the listener is built after the policy).
-  void set_observed_rates(const RateTracker* observed) {
-    observed_ = observed;
-  }
+  PlannerGrantPolicy(MaxLeaseFn max_lease, LeaseAssignmentSource* planner)
+      : max_lease_(std::move(max_lease)), planner_(planner) {}
 
   GrantDecision decide(const dns::Name& name, dns::RRType type,
                        const net::Endpoint& holder, double reported_rate,
                        net::SimTime now) override;
-
-  GrantPolicy& fallback() { return *fallback_; }
 
  private:
   MaxLeaseFn max_lease_;
   LeaseAssignmentSource* planner_;
-  std::unique_ptr<GrantPolicy> fallback_;
-  const RateTracker* observed_ = nullptr;
 };
 
 }  // namespace dnscup::core

@@ -10,23 +10,6 @@ void RateTracker::record(const dns::Name& name, dns::RRType type,
   if (it == samples_.end()) {
     if (!admit_new_key(now)) return;
     it = samples_.try_emplace(Key{name, type}, max_samples_).first;
-    keys_gauge_.set(static_cast<double>(samples_.size()));
-  }
-  it->second.push(now);
-  trim(it->second, now);
-  maybe_auto_prune(now);
-}
-
-void RateTracker::record_view(const dns::NameView& name, dns::RRType type,
-                              net::SimTime now) {
-  auto it = samples_.find(KeyView{name, type});
-  if (it == samples_.end()) {
-    if (!admit_new_key(now)) return;
-    // First sighting of this key: materialize an owning Name (the only
-    // allocation this path ever makes — steady state hits the view probe).
-    it = samples_.try_emplace(Key{name.materialize(), type}, max_samples_)
-             .first;
-    keys_gauge_.set(static_cast<double>(samples_.size()));
   }
   it->second.push(now);
   trim(it->second, now);
@@ -94,7 +77,6 @@ std::size_t RateTracker::prune(net::SimTime now) {
     }
   }
   ops_since_prune_ = 0;
-  keys_gauge_.set(static_cast<double>(samples_.size()));
   return removed;
 }
 

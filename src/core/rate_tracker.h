@@ -1,14 +1,13 @@
 // Sliding-window query-rate estimation.
 //
 // Caches use it to fill the RRC field of outgoing queries ("the query rate
-// originated from the local clients", §5.2); authorities use it as a
-// fallback estimate when a legacy cache sends no RRC, and to drive lease
-// re-negotiation when observed rates drift from reported ones.
+// originated from the local clients", §5.2) and to drive lease
+// re-negotiation when their observed rate drifts from the one reported at
+// grant time.
 //
 // Samples live in per-key ring buffers (not deques, whose block churn
-// allocates on every push/pop cycle), and keys can be probed with a wire
-// NameView via transparent hashing — so on the serve hot path, recording a
-// query for an already-tracked name performs zero heap allocations.
+// allocates on every push/pop cycle), so recording a query for an
+// already-tracked name performs zero heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "dns/name.h"
 #include "dns/rdata.h"
 #include "net/time.h"
-#include "util/metrics.h"
 
 namespace dnscup::core {
 
@@ -82,11 +80,6 @@ class RateTracker {
 
   void record(const dns::Name& name, dns::RRType type, net::SimTime now);
 
-  /// Hot-path variant: probes by view; the owning Name key is materialized
-  /// only the first time a (name, type) is seen.
-  void record_view(const dns::NameView& name, dns::RRType type,
-                   net::SimTime now);
-
   /// Estimated arrival rate in events/second over the window at `now`.
   /// With zero or one retained sample the estimate is count/window.
   double rate(const dns::Name& name, dns::RRType type,
@@ -97,7 +90,7 @@ class RateTracker {
                     net::SimTime now) const;
 
   /// Drops keys whose samples all fell out of the window.  Also runs
-  /// automatically from record()/record_view() every ~size/2 recordings,
+  /// automatically from record() every ~size/2 recordings,
   /// so idle keys decay away under traffic without any external timer
   /// (amortized O(1) per recording, and erase-only — no allocation on the
   /// serve hot path).
@@ -109,12 +102,6 @@ class RateTracker {
   /// prune.
   uint64_t keys_dropped() const { return keys_dropped_; }
 
-  /// Published occupancy (tracked-key count), refreshed on insert/prune.
-  void set_keys_gauge(metrics::Gauge gauge) {
-    keys_gauge_ = std::move(gauge);
-    keys_gauge_.set(static_cast<double>(samples_.size()));
-  }
-
  private:
   struct Key {
     dns::Name name;
@@ -123,28 +110,9 @@ class RateTracker {
       return type == other.type && name == other.name;
     }
   };
-  /// Borrowed probe key for transparent lookups from wire views.
-  struct KeyView {
-    const dns::NameView& name;
-    dns::RRType type;
-  };
   struct KeyHash {
-    using is_transparent = void;
     std::size_t operator()(const Key& k) const {
       return k.name.hash() * 31 + static_cast<std::size_t>(k.type);
-    }
-    std::size_t operator()(const KeyView& k) const {
-      return k.name.hash() * 31 + static_cast<std::size_t>(k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const { return a == b; }
-    bool operator()(const Key& a, const KeyView& b) const {
-      return a.type == b.type && b.name.equals(a.name);
-    }
-    bool operator()(const KeyView& a, const Key& b) const {
-      return a.type == b.type && a.name.equals(b.name);
     }
   };
 
@@ -158,8 +126,7 @@ class RateTracker {
   std::size_t max_keys_;
   std::size_t ops_since_prune_ = 0;
   uint64_t keys_dropped_ = 0;
-  metrics::Gauge keys_gauge_;
-  std::unordered_map<Key, SampleRing, KeyHash, KeyEq> samples_;
+  std::unordered_map<Key, SampleRing, KeyHash> samples_;
 };
 
 }  // namespace dnscup::core

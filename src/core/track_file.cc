@@ -40,6 +40,7 @@ void TrackFile::grant(const net::Endpoint& holder, const dns::Name& name,
   DNSCUP_ASSERT(length > 0);
   auto& holders = leases_[Key{name, type}];
   auto [it, inserted] = holders.try_emplace(holder);
+  if (inserted) ++size_;
   const bool renewal = !inserted && it->second.valid(now);
   if (renewal) {
     ++stats_.renewals;
@@ -51,7 +52,8 @@ void TrackFile::grant(const net::Endpoint& holder, const dns::Name& name,
 }
 
 void TrackFile::restore(const Lease& lease) {
-  leases_[Key{lease.name, lease.type}][lease.holder] = lease;
+  auto& holders = leases_[Key{lease.name, lease.type}];
+  if (holders.insert_or_assign(lease.holder, lease).second) ++size_;
 }
 
 const Lease* TrackFile::find(const net::Endpoint& holder,
@@ -91,6 +93,7 @@ bool TrackFile::revoke(const net::Endpoint& holder, const dns::Name& name,
   auto it = leases_.find(Key{name, type});
   if (it == leases_.end()) return false;
   if (it->second.erase(holder) == 0) return false;
+  --size_;
   if (it->second.empty()) leases_.erase(it);
   ++stats_.revocations;
   if (journal_ != nullptr) journal_->record_revoke(holder, name, type);
@@ -111,6 +114,7 @@ std::size_t TrackFile::prune(net::SimTime now) {
     }
     it = holders.empty() ? leases_.erase(it) : std::next(it);
   }
+  size_ -= removed;
   stats_.pruned += removed;
   // One compact WAL record covers the whole sweep: replay re-applies the
   // same expiry filter.  An empty sweep changes nothing, so skip it.
@@ -125,12 +129,6 @@ std::size_t TrackFile::live_count(net::SimTime now) const {
       if (lease.valid(now)) ++count;
     }
   }
-  return count;
-}
-
-std::size_t TrackFile::size() const {
-  std::size_t count = 0;
-  for (const auto& [key, holders] : leases_) count += holders.size();
   return count;
 }
 
@@ -202,6 +200,7 @@ util::Result<TrackFile> TrackFile::parse(std::string_view text) {
           "duplicate lease for " + holder.to_string() + " on track file line " +
               std::to_string(lineno));
     }
+    ++tf.size_;
   }
   return tf;
 }

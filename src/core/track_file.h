@@ -84,8 +84,9 @@ class TrackFile {
   /// the quantity the storage-constrained algorithm budgets.
   std::size_t live_count(net::SimTime now) const;
 
-  /// Total tuples including expired-but-unpruned.
-  std::size_t size() const;
+  /// Total tuples including expired-but-unpruned.  O(1): the count is
+  /// maintained on every insert and erase.
+  std::size_t size() const { return size_; }
 
   /// Value snapshot of the registry-backed counters.
   Stats stats() const;
@@ -124,6 +125,7 @@ class TrackFile {
   };
 
   std::map<Key, std::map<net::Endpoint, Lease>> leases_;
+  std::size_t size_ = 0;
   Instruments stats_;
   StateJournal* journal_ = nullptr;
 };

@@ -131,8 +131,7 @@ class NameView {
 
 /// Canonical-order comparison of an owning Name against a raw label
 /// sequence (as produced by NameView::labels()); <0 / 0 / >0 like strcmp.
-/// Shared by the transparent container comparators in zone.h and
-/// rate_tracker.h.
+/// Shared by the transparent container comparators in zone.h.
 int compare_name_to_labels(const Name& a,
                            std::span<const std::string_view> b);
 

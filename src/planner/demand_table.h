@@ -20,7 +20,7 @@
 // length 0 to pairs whose forecast demand decays to zero, and the table
 // is sized (capacity / shards, ~85% max load) so the steady-state pair
 // population fits; when a shard fills, new pairs are rejected and counted
-// — the authority falls back to its non-planner policy for them.
+// — the authority denies them leases (plain TTL semantics).
 //
 // The pair key is a 64-bit splitmix of (holder endpoint, name hash,
 // rrtype).  A collision merges two pairs' demand — harmless for planning
@@ -41,8 +41,8 @@
 namespace dnscup::planner {
 
 /// Sentinel planned_bits value: pair present but not yet planned (readers
-/// must fall back to their own policy).  An all-ones float pattern is a
-/// NaN, so it can never alias a real assigned length.
+/// deny the pair a lease).  An all-ones float pattern is a NaN, so it can
+/// never alias a real assigned length.
 inline constexpr uint32_t kUnplannedBits = 0xFFFFFFFFu;
 
 uint64_t pair_key(const net::Endpoint& holder, std::size_t name_hash,

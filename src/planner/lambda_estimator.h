@@ -2,10 +2,10 @@
 // on).
 //
 // The paper's optimizers treat λ_ij as known; live, the authority only
-// sees a stream of RRC reports (or RateTracker estimates) per
-// (cache, record) pair, and PAPERS.md "Modeling and Predicting DNS Server
-// Load" argues for planning on a *forecast* rather than the last window —
-// lease lengths should track where load is going, not where it was.
+// sees a stream of RRC reports per (cache, record) pair, and PAPERS.md
+// "Modeling and Predicting DNS Server Load" argues for planning on a
+// *forecast* rather than the last window — lease lengths should track
+// where load is going, not where it was.
 //
 // The estimator is a stateless policy over a tiny per-pair State embedded
 // in the demand-table slot (8 bytes: level + trend), so switching

@@ -20,7 +20,7 @@
 // published plan byte-for-byte the offline optimizer's output again.
 //
 // Budgets are split evenly across planner shards (like the runtime's
-// per-worker policy budgets), so shard planning stays independent.
+// per-worker lease bounds), so shard planning stays independent.
 #pragma once
 
 #include <atomic>

@@ -10,6 +10,14 @@
 
 namespace dnscup::runtime {
 
+namespace {
+
+/// Total track-file bound, split across shards, without the planner
+/// (with it, the demand table's capacity bounds the planned pairs).
+constexpr std::size_t kLeaseBound = 100000;
+
+}  // namespace
+
 ServingRuntime::Worker::Worker(const Config& config)
     : pool(config.inbox_capacity),
       commands(config.command_capacity, &wake) {}
@@ -163,18 +171,16 @@ util::Result<std::unique_ptr<ServingRuntime>> ServingRuntime::start(
   if (cfg.dnscup && cfg.planner) {
     planner::LeasePlanner::Config pc = cfg.planner_config;
     pc.workers = n;
-    pc.mode = cfg.policy == core::DnscupAuthority::PolicyKind::kCommBudget
-                  ? planner::LeasePlanner::Mode::kComm
-                  : planner::LeasePlanner::Mode::kStorage;
-    pc.storage_budget = static_cast<double>(cfg.storage_budget);
-    pc.message_budget = cfg.message_budget;
     runtime->planner_ = planner::LeasePlanner::start(pc);
   }
 
   // Per-shard protocol stacks.  Each worker gets its own copy of every
   // zone; the registries stay per-worker and merge only at scrape time.
-  const std::size_t shard_budget =
-      std::max<std::size_t>(1, (cfg.storage_budget + n - 1) / n);
+  const std::size_t lease_bound = runtime->planner_ != nullptr
+                                      ? runtime->planner_->config().capacity
+                                      : kLeaseBound;
+  const std::size_t shard_bound =
+      std::max<std::size_t>(1, (lease_bound + n - 1) / n);
   for (int i = 0; i < n; ++i) {
     Worker& worker = *runtime->workers_[i];
     worker.shim.io = worker.io.get();
@@ -193,8 +199,7 @@ util::Result<std::unique_ptr<ServingRuntime>> ServingRuntime::start(
       dc.max_lease = [max_lease](const dns::Name&, dns::RRType) {
         return max_lease;
       };
-      dc.policy = cfg.policy;
-      dc.storage_budget = shard_budget;
+      dc.storage_budget = shard_bound;
       dc.notification = cfg.notification;
       dc.notification.metrics = &worker.registry;
       if (runtime->push_ != nullptr) {

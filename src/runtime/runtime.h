@@ -85,21 +85,18 @@ struct Config {
   bool dnscup = true;
   bool round_robin = false;
   net::Duration max_lease = net::seconds(3600);
-  core::DnscupAuthority::PolicyKind policy =
-      core::DnscupAuthority::PolicyKind::kStorageBudget;
-  /// Total live-lease budget, split evenly across shards.
-  std::size_t storage_budget = 100000;
-  /// Total authority-bound message budget (msgs/s) for the planner's
-  /// communication-constrained mode.
-  double message_budget = 1e6;
   core::NotificationModule::Config notification;
 
   /// Online lease planner (src/planner): one planner thread off the hot
   /// path assigns lease lengths from a demand table fed by per-worker
-  /// observation queues; each shard's policy becomes the fallback for
-  /// pairs the planner has not planned yet.  planner_config budgets are
-  /// overridden from storage_budget / message_budget, its worker count
-  /// from Config::workers, and its mode from Config::policy.
+  /// observation queues, and every shard grants what it assigned (pairs
+  /// it has not planned yet are denied).  planner_config carries the
+  /// planner's mode and budget; its worker count is overridden from
+  /// Config::workers.  Without the planner every shard grants each EXT
+  /// query the maximal lease.  Either way each shard's track file is
+  /// bounded: an even split of planner_config.capacity with the planner
+  /// (the demand table already bounds the pairs it plans), else of
+  /// 100000 leases.
   bool planner = false;
   planner::LeasePlanner::Config planner_config;
 

@@ -127,7 +127,6 @@ Testbed::Testbed(TestbedConfig config)
     dnscup_config.max_lease = [max_lease](const Name&, RRType) {
       return max_lease;
     };
-    dnscup_config.storage_budget = config_.storage_budget;
     dnscup_config.metrics = metrics_;
     dnscup_config.notification.max_retries = config_.notification_max_retries;
     if (!config_.auth_key.empty()) {

@@ -38,7 +38,6 @@ struct TestbedConfig {
   uint32_t record_ttl = 300;
   /// Maximal lease length the authority grants.
   net::Duration max_lease = net::hours(24);
-  std::size_t storage_budget = 100000;
   /// CACHE-UPDATE retransmission budget (notification module).
   int notification_max_retries = 5;
   /// Non-empty: sign/verify CACHE-UPDATE with this shared key (§5.3).

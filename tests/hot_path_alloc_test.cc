@@ -234,8 +234,7 @@ TEST_F(HotPathTest, SteadyStateServesWithZeroAllocations) {
 TEST_F(HotPathTest, SteadyStateWithDnscupHooksIsAllocationFree) {
   // The full DNScup stack installs a query hook, a fast-query hook and
   // the notifier's extension handler; legacy queries must still serve
-  // allocation-free (the rate tracker's ring reaches capacity during
-  // warmup, after which record_view never allocates).
+  // allocation-free.
   core::DnscupAuthority::Config dc;
   dc.max_lease = [](const dns::Name&, dns::RRType) {
     return net::seconds(3600);
@@ -243,9 +242,9 @@ TEST_F(HotPathTest, SteadyStateWithDnscupHooksIsAllocationFree) {
   core::DnscupAuthority dnscup(server_, loop_, dc);
 
   const auto wire = query_wire("www.example.com", RRType::kA);
-  // Warmup must exceed the RateTracker ring capacity (256) so the
-  // per-key SampleRing finishes its geometric growth.
-  for (int i = 0; i < 600; ++i) transport_.deliver(client_, wire);
+  // Warm the serve path's arenas and pools (encode buffers, compression
+  // table) before counting.
+  for (int i = 0; i < 64; ++i) transport_.deliver(client_, wire);
   const uint64_t sends_before = transport_.sends();
   const uint64_t allocs_before = g_allocs.load();
   for (int i = 0; i < 1000; ++i) transport_.deliver(client_, wire);

@@ -40,8 +40,7 @@ Config planner_config(double storage_budget) {
   config.workers = 1;
   config.max_lease = net::seconds(86400);
   config.planner = true;
-  config.policy = core::DnscupAuthority::PolicyKind::kStorageBudget;
-  config.storage_budget = static_cast<std::size_t>(storage_budget);
+  config.planner_config.storage_budget = storage_budget;
   config.planner_config.poll_interval = net::milliseconds(1);
   config.planner_config.replan_interval = net::seconds(1);
   // One shard: the budget is split per shard, and these tests reason
@@ -147,25 +146,24 @@ TEST(PlannerRuntime, HotPairKeepsLeaseUnderTightBudget) {
   rt.stop();
 }
 
-TEST(PlannerRuntime, PlannerOverridesAlwaysGrantFallback) {
-  // kAlwaysGrant fallback grants the first query of every pair; once the
-  // planner (budget ~0) has planned the pair, the same query is denied —
-  // the planner's word beats the fallback's.
-  auto config = planner_config(0.0);
-  config.policy = core::DnscupAuthority::PolicyKind::kAlwaysGrant;
-  config.storage_budget = 0;
-  auto started = ServingRuntime::start(config, {test_zone()});
+TEST(PlannerRuntime, UnplannedIsDeniedThenThePlannedPairIsGranted) {
+  // A pair's first EXT query reaches the authority before the planner has
+  // seen it: denied, plain TTL.  Once the planner has applied that
+  // observation, the pair's next query gets the planned lease (the
+  // budget holds it whole).
+  auto started = ServingRuntime::start(planner_config(100.0), {test_zone()});
   ASSERT_TRUE(started.ok()) << started.error().to_string();
   ServingRuntime& rt = *started.value();
   const net::Endpoint server = rt.endpoints()[0];
 
   Client client;
   const auto first = client.query(server, "hot.example.com", 5.0);
-  EXPECT_GT(first.llt, 0) << "fallback must grant before planning";
+  EXPECT_EQ(first.llt, 0) << "an unplanned pair must be denied";
+  EXPECT_EQ(first.flags.rcode, dns::Rcode::kNoError);
+  ASSERT_FALSE(first.answers.empty());  // answer unaffected by denial
   wait_applied(rt, 1);
   const auto second = client.query(server, "hot.example.com", 5.0);
-  EXPECT_EQ(second.llt, 0) << "planner (budget 0) must deny";
-  EXPECT_EQ(second.flags.rcode, dns::Rcode::kNoError);
+  EXPECT_EQ(second.llt, dns::llt_from_seconds(86400));
   rt.stop();
 }
 
@@ -183,9 +181,6 @@ TEST(PlannerRuntime, MetricsIncludePlannerInstruments) {
   const auto* pairs = snapshot.find("planner_pairs");
   ASSERT_NE(pairs, nullptr);
   EXPECT_GE(pairs->gauge_value, 1.0);
-  // The worker-side RateTracker occupancy gauge rides along.
-  EXPECT_NE(snapshot.find("listener_rate_tracker_keys", {{"instance", "0"}}),
-            nullptr);
   rt.stop();
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/policy.h"
 
 namespace dnscup::core {
@@ -48,166 +50,84 @@ TEST(NeverGrant, NeverGrants) {
   EXPECT_FALSE(policy.decide(mk("x.com"), RRType::kA, kCache, 100, 0).grant);
 }
 
-class BudgetedPolicyTest : public ::testing::Test {
- protected:
-  BudgetedPolicyTest() {
-    BudgetedGrantPolicy::Config config;
-    config.storage_budget = 10;
-    policy_.emplace(constant_lease(net::seconds(1000)), &track_file_,
-                    config);
+// ---- PlannerGrantPolicy ----------------------------------------------------
+
+/// Scripted planner seam: answers every probe with `next` and records the
+/// probes and observations it sees.
+class FakePlanner final : public LeaseAssignmentSource {
+ public:
+  struct Observation {
+    double rate_qps;
+    double max_lease_s;
+  };
+
+  Assignment assignment(const net::Endpoint&, const Name&, RRType) override {
+    ++probes;
+    return next;
+  }
+  void observe(const net::Endpoint&, const Name&, RRType, double rate_qps,
+               double max_lease_s) override {
+    observations.push_back({rate_qps, max_lease_s});
   }
 
-  net::Endpoint holder(uint32_t i) {
-    return {net::make_ip(10, 1, 0, static_cast<uint8_t>(i)), 53};
-  }
-
-  TrackFile track_file_;
-  std::optional<BudgetedGrantPolicy> policy_;
+  Assignment next;
+  int probes = 0;
+  std::vector<Observation> observations;
 };
 
-TEST_F(BudgetedPolicyTest, GrantsUnderBudget) {
-  const auto d =
-      policy_->decide(mk("a.com"), RRType::kA, holder(1), 1.0, 0);
+class PlannerPolicyTest : public ::testing::Test {
+ protected:
+  GrantDecision decide(double rate) {
+    return policy_.decide(mk("x.com"), RRType::kA, kCache, rate, 0);
+  }
+
+  FakePlanner planner_;
+  PlannerGrantPolicy policy_{constant_lease(net::seconds(1000)), &planner_};
+};
+
+TEST_F(PlannerPolicyTest, UnplannedPairIsDeniedAndObservedOnce) {
+  EXPECT_FALSE(decide(2.0).grant);
+  EXPECT_EQ(planner_.probes, 1);
+  ASSERT_EQ(planner_.observations.size(), 1u);
+  EXPECT_DOUBLE_EQ(planner_.observations[0].rate_qps, 2.0);
+  EXPECT_DOUBLE_EQ(planner_.observations[0].max_lease_s, 1000.0);
+}
+
+TEST_F(PlannerPolicyTest, PlannedZeroIsDenied) {
+  // The plan deprived the pair: plain TTL, but demand is still observed.
+  planner_.next = {true, 0.0};
+  EXPECT_FALSE(decide(2.0).grant);
+  EXPECT_EQ(planner_.observations.size(), 1u);
+}
+
+TEST_F(PlannerPolicyTest, PlannedLengthIsGranted) {
+  planner_.next = {true, 300.0};
+  const auto d = decide(2.0);
+  EXPECT_TRUE(d.grant);
+  EXPECT_EQ(d.length, net::seconds(300));
+}
+
+TEST_F(PlannerPolicyTest, PlannedAboveMaxLeaseIsCapped) {
+  planner_.next = {true, 5000.0};
+  const auto d = decide(2.0);
   EXPECT_TRUE(d.grant);
   EXPECT_EQ(d.length, net::seconds(1000));
 }
 
-TEST_F(BudgetedPolicyTest, RefusesNewGrantsAtBudget) {
-  // Fill the track file to the budget.
-  for (uint32_t i = 0; i < 10; ++i) {
-    track_file_.grant(holder(i), mk(("d" + std::to_string(i) + ".com").c_str()),
-                      RRType::kA, 0, net::seconds(1000));
-  }
-  const auto d =
-      policy_->decide(mk("new.com"), RRType::kA, holder(99), 0.5, 0);
-  EXPECT_FALSE(d.grant);
+TEST_F(PlannerPolicyTest, RrcZeroIsDeniedWithoutObservation) {
+  // RRC 0 reports no demand: nothing to plan for, so nothing observed.
+  planner_.next = {true, 300.0};
+  EXPECT_FALSE(decide(0.0).grant);
+  EXPECT_TRUE(planner_.observations.empty());
 }
 
-TEST_F(BudgetedPolicyTest, RenewalsAllowedAtBudget) {
-  for (uint32_t i = 0; i < 10; ++i) {
-    track_file_.grant(holder(i), mk(("d" + std::to_string(i) + ".com").c_str()),
-                      RRType::kA, 0, net::seconds(1000));
-  }
-  // Holder 3 renewing its existing lease must still succeed.
-  const auto d = policy_->decide(mk("d3.com"), RRType::kA, holder(3), 0.5,
-                                 net::seconds(1));
-  EXPECT_TRUE(d.grant);
-}
-
-TEST_F(BudgetedPolicyTest, BudgetFreesUpAfterExpiry) {
-  for (uint32_t i = 0; i < 10; ++i) {
-    track_file_.grant(holder(i), mk(("d" + std::to_string(i) + ".com").c_str()),
-                      RRType::kA, 0, net::seconds(10));
-  }
-  EXPECT_FALSE(
-      policy_->decide(mk("new.com"), RRType::kA, holder(99), 0.5, 0).grant);
-  // All leases expired: newcomers are admitted again (after threshold
-  // decay pulls the bar back down).
-  bool granted = false;
-  for (int i = 0; i < 200 && !granted; ++i) {
-    granted = policy_
-                  ->decide(mk("new.com"), RRType::kA, holder(99), 0.5,
-                           net::seconds(20))
-                  .grant;
-  }
-  EXPECT_TRUE(granted);
-}
-
-TEST_F(BudgetedPolicyTest, ThresholdRisesUnderPressure) {
-  for (uint32_t i = 0; i < 10; ++i) {
-    track_file_.grant(holder(i), mk(("d" + std::to_string(i) + ".com").c_str()),
-                      RRType::kA, 0, net::seconds(1000));
-  }
-  const double before = policy_->threshold();
-  policy_->decide(mk("new.com"), RRType::kA, holder(99), 2.0, 0);
-  EXPECT_GT(policy_->threshold(), before);
-  EXPECT_GT(policy_->threshold(), 2.0);  // at least above the rejected rate
-}
-
-TEST_F(BudgetedPolicyTest, LowRateCachesFilteredFirst) {
-  // Saturate, pushing the threshold above 1 q/s.
-  for (uint32_t i = 0; i < 10; ++i) {
-    track_file_.grant(holder(i), mk(("d" + std::to_string(i) + ".com").c_str()),
-                      RRType::kA, 0, net::seconds(30));
-  }
-  policy_->decide(mk("new.com"), RRType::kA, holder(99), 1.0, 0);
-  // After expiry, a high-rate newcomer beats the threshold sooner than a
-  // low-rate one.
-  int high_granted_at = -1;
-  for (int i = 0; i < 300; ++i) {
-    if (policy_
-            ->decide(mk("hot.com"), RRType::kA, holder(50), 5.0,
-                     net::seconds(60))
-            .grant) {
-      high_granted_at = i;
-      break;
-    }
-  }
-  ASSERT_GE(high_granted_at, 0);
-}
-
-// ---- CommBudgetedGrantPolicy -----------------------------------------------
-
-class CommPolicyTest : public ::testing::Test {
- protected:
-  CommPolicyTest() {
-    CommBudgetedGrantPolicy::Config config;
-    config.message_budget = 10.0;
-    config.rate_horizon = net::seconds(30);
-    policy_.emplace(constant_lease(net::seconds(600)), config);
-  }
-
-  /// Feeds `n` decisions spaced `gap` apart, all with the given rate.
-  GrantDecision feed(int n, net::Duration gap, double rate,
-                     net::SimTime& now) {
-    GrantDecision last;
-    for (int i = 0; i < n; ++i) {
-      now += gap;
-      last = policy_->decide(mk("x.com"), RRType::kA, kCache, rate, now);
-    }
-    return last;
-  }
-
-  std::optional<CommBudgetedGrantPolicy> policy_;
-};
-
-TEST_F(CommPolicyTest, GrantsEveryoneUnderPressure) {
-  net::SimTime now = 0;
-  // 50 msg/s, far above the 10/s budget: even tiny rates get leases,
-  // because leasing is the only way to reduce traffic.
-  const auto decision = feed(5000, net::milliseconds(20), 0.001, now);
-  EXPECT_TRUE(decision.grant);
-  EXPECT_GT(policy_->measured_message_rate(now), 10.0);
-  EXPECT_DOUBLE_EQ(policy_->threshold(), 0.0);
-}
-
-TEST_F(CommPolicyTest, DeprivesLowRatesWithHeadroom) {
-  net::SimTime now = 0;
-  // 1 msg/s, well under budget: the deprivation threshold creeps up and
-  // low-rate caches stop being leased (storage reclaim).
-  feed(600, net::seconds(1), 0.001, now);
-  EXPECT_GT(policy_->threshold(), 0.001);
-  const auto low = policy_->decide(mk("x.com"), RRType::kA, kCache, 0.0005,
-                                   now + net::seconds(1));
-  EXPECT_FALSE(low.grant);
-  // High-rate caches keep their leases.
-  const auto high = policy_->decide(mk("x.com"), RRType::kA, kCache, 100.0,
-                                    now + net::seconds(2));
-  EXPECT_TRUE(high.grant);
-}
-
-TEST_F(CommPolicyTest, MeasuredRateTracksTraffic) {
-  net::SimTime now = 0;
-  feed(1500, net::milliseconds(100), 1.0, now);  // 10 msg/s
-  EXPECT_NEAR(policy_->measured_message_rate(now), 10.0, 1.5);
-  // Silence decays the estimate.
-  EXPECT_LT(policy_->measured_message_rate(now + net::minutes(5)),
-            policy_->measured_message_rate(now));
-}
-
-TEST_F(CommPolicyTest, ZeroMaxLeaseNeverGrants) {
-  CommBudgetedGrantPolicy never(constant_lease(0), {});
-  EXPECT_FALSE(never.decide(mk("x.com"), RRType::kA, kCache, 5.0, 0).grant);
+TEST(PlannerPolicy, ZeroMaxLeaseDeniesWithoutProbe) {
+  FakePlanner planner;
+  planner.next = {true, 300.0};
+  PlannerGrantPolicy policy(constant_lease(0), &planner);
+  EXPECT_FALSE(policy.decide(mk("x.com"), RRType::kA, kCache, 2.0, 0).grant);
+  EXPECT_EQ(planner.probes, 0);
+  EXPECT_TRUE(planner.observations.empty());
 }
 
 }  // namespace

@@ -131,23 +131,5 @@ TEST(RateTracker, CapAdmitsAfterPruneFreesRoom) {
   EXPECT_EQ(tracker.count(mk("new.com"), RRType::kA, net::seconds(100)), 1u);
 }
 
-TEST(RateTracker, KeysGaugeTracksOccupancy) {
-  metrics::MetricsRegistry registry;
-  RateTracker tracker(net::seconds(10));
-  tracker.set_keys_gauge(registry.gauge("rate_tracker_keys"));
-  auto gauge_value = [&] {
-    for (const auto& entry : registry.snapshot(0).entries) {
-      if (entry.name == "rate_tracker_keys") return entry.gauge_value;
-    }
-    return -1.0;
-  };
-  EXPECT_DOUBLE_EQ(gauge_value(), 0.0);
-  tracker.record(mk("a.com"), RRType::kA, 0);
-  tracker.record(mk("b.com"), RRType::kA, 0);
-  EXPECT_DOUBLE_EQ(gauge_value(), 2.0);
-  tracker.prune(net::seconds(100));
-  EXPECT_DOUBLE_EQ(gauge_value(), 0.0);
-}
-
 }  // namespace
 }  // namespace dnscup::core

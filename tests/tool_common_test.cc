@@ -1,13 +1,15 @@
 // Coverage for the daemons' shared CLI plumbing (tools/tool_common.h):
 // serving-flag parsing (including the io-backend, pin-cpus and push-plane
-// flags and their rejection paths), endpoint parsing with error
-// reporting, the metrics dump helper and counter aggregation.
+// flags and their rejection paths), strict numeric flag values, endpoint
+// parsing with error reporting, the metrics dump helper and counter
+// aggregation.
 #include "../tools/tool_common.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,6 +113,83 @@ TEST(ServingFlagsTest, ParsesPushPlaneFlags) {
             (net::Endpoint{net::make_ip(127, 0, 0, 1), 5300}));
   EXPECT_EQ(Args({"--push-authority", "127.0.0.1:53x"}).parse(authority),
             FlagParse::kError);
+}
+
+TEST(ParseNumberTest, AcceptsNumbersInRange) {
+  int64_t seconds = 0;
+  EXPECT_TRUE(parse_number("--max-lease", "3600", int64_t{1},
+                           int64_t{1000000}, seconds));
+  EXPECT_EQ(seconds, 3600);
+  double budget = -1;
+  EXPECT_TRUE(parse_number("--lease-storage-budget", "2.5e3", 0.0, 1e9,
+                           budget));
+  EXPECT_DOUBLE_EQ(budget, 2500.0);
+  int shards = 0;
+  EXPECT_TRUE(parse_number("--planner-shards", "256", 1, 256, shards));
+  EXPECT_EQ(shards, 256);
+}
+
+TEST(ParseNumberTest, RejectsTrailingGarbage) {
+  // Regression: atof read "5k" as a budget of 5.
+  double budget = -1;
+  EXPECT_FALSE(parse_number("--lease-storage-budget", "5k", 0.0, 1e9,
+                            budget));
+  EXPECT_DOUBLE_EQ(budget, -1);  // untouched on error
+  int64_t seconds = 7;
+  EXPECT_FALSE(parse_number("--max-lease", "60s", int64_t{1},
+                            int64_t{1000000}, seconds));
+  EXPECT_FALSE(parse_number("--max-lease", "60 ", int64_t{1},
+                            int64_t{1000000}, seconds));
+  EXPECT_FALSE(parse_number("--max-lease", " 60", int64_t{1},
+                            int64_t{1000000}, seconds));
+  EXPECT_EQ(seconds, 7);
+}
+
+TEST(ParseNumberTest, RejectsEmptyMissingAndNonNumeric) {
+  // Regression: atoll read "abc" as a max lease of 0, denying every lease.
+  int64_t seconds = 7;
+  EXPECT_FALSE(parse_number("--max-lease", "abc", int64_t{1},
+                            int64_t{1000000}, seconds));
+  EXPECT_FALSE(parse_number("--max-lease", "", int64_t{1}, int64_t{1000000},
+                            seconds));
+  EXPECT_FALSE(parse_number("--max-lease", nullptr, int64_t{1},
+                            int64_t{1000000}, seconds));
+  double budget = -1;
+  EXPECT_FALSE(parse_number("--lease-msg-budget", "nan", 0.0, 1e9, budget));
+  EXPECT_FALSE(parse_number("--lease-msg-budget", "inf", 0.0, 1e9, budget));
+  EXPECT_EQ(seconds, 7);
+  EXPECT_DOUBLE_EQ(budget, -1);
+}
+
+TEST(ParseNumberTest, RejectsNegativeAndOutOfRange) {
+  int64_t seconds = 7;
+  EXPECT_FALSE(parse_number("--snapshot-interval", "-5", int64_t{1},
+                            int64_t{1000000}, seconds));
+  EXPECT_FALSE(parse_number("--snapshot-interval", "0", int64_t{1},
+                            int64_t{1000000}, seconds));
+  double budget = -1;
+  EXPECT_FALSE(parse_number("--lease-msg-budget", "-0.5", 0.0, 1e9, budget));
+  int shards = 0;
+  EXPECT_FALSE(parse_number("--planner-shards", "257", 1, 256, shards));
+  EXPECT_EQ(seconds, 7);
+  EXPECT_DOUBLE_EQ(budget, -1);
+  EXPECT_EQ(shards, 0);
+}
+
+TEST(ParseNumberTest, RejectsOverflow) {
+  int64_t capacity = 7;
+  EXPECT_FALSE(parse_number("--planner-capacity", "9223372036854775808",
+                            int64_t{1}, std::numeric_limits<int64_t>::max(),
+                            capacity));
+  int shards = 0;
+  EXPECT_FALSE(parse_number("--planner-shards", "99999999999", 1, 256,
+                            shards));
+  double budget = -1;
+  EXPECT_FALSE(parse_number("--lease-storage-budget", "1e999", 0.0,
+                            std::numeric_limits<double>::max(), budget));
+  EXPECT_EQ(capacity, 7);
+  EXPECT_EQ(shards, 0);
+  EXPECT_DOUBLE_EQ(budget, -1);
 }
 
 TEST(ParseEndpointTest, AcceptsCanonicalForm) {

@@ -21,11 +21,15 @@
 #                  planner thread interplay is where a data race would
 #                  hide;
 #   --planner      the lease-planner leg: the planner-labeled suites in
-#                  Release, planner_test under ASan/UBSan (the open-
-#                  addressed demand table is raw arena indexing), then a
-#                  planner-enabled dnscupd under TSan driven by dnsflood
-#                  — the single-writer/multi-reader table contract and
-#                  the observation-queue handoff under real load;
+#                  Release, the online-vs-offline ablation gate
+#                  (bench/ablation_online_policy fails when the planner
+#                  path strays more than 1% from the offline optimum's
+#                  message rate or over its storage budget), planner_test
+#                  under ASan/UBSan (the open-addressed demand table is
+#                  raw arena indexing), then a planner-enabled dnscupd
+#                  under TSan driven by dnsflood — the single-writer/
+#                  multi-reader table contract and the observation-queue
+#                  handoff under real load;
 #   --bench-smoke  Release build, assert the serve hot path is
 #                  allocation-free (hot_path_alloc_test), then start a
 #                  2-worker dnscupd on loopback, drive it with dnsflood
@@ -225,11 +229,18 @@ run_planner() {
   local build_dir="$repo_root/build"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j "$jobs" \
-    --target planner_test planner_runtime_test dnsflood
+    --target planner_test planner_runtime_test dnsflood \
+             ablation_online_policy
   echo "-- planner label (Release) --"
   ctest --test-dir "$build_dir" -L planner --output-on-failure -j "$jobs"
   ctest --test-dir "$build_dir" -R '^planner_runtime_test$' \
     --output-on-failure
+
+  echo "-- online planner vs offline optimum (ablation gate) --"
+  # Seeded and deterministic: exits non-zero when, at any budget, the
+  # online message rate is more than 1% from the offline optimum or mean
+  # live leases exceed the budget by more than 1%.
+  "$build_dir/bench/ablation_online_policy"
 
   echo "-- planner_test under address,undefined sanitizers --"
   # The demand table is a raw open-addressed arena (pointer arithmetic,

@@ -39,6 +39,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,16 @@ using namespace dnscup;
 namespace {
 
 std::atomic<int> g_signal{0};
+
+/// Upper bounds for the numeric flags: second counts must survive the
+/// conversion to microseconds and the addition to a clock reading (a
+/// lease's expiry is its grant time plus its length), budgets must be
+/// finite, and a planner shard is picked by the pair key's top byte, so
+/// more than 256 shards would never all be used.
+constexpr int64_t kMaxSeconds =
+    std::numeric_limits<int64_t>::max() / net::seconds(1) / 2;
+constexpr double kMaxBudget = std::numeric_limits<double>::max();
+constexpr int kMaxShards = 256;
 
 void handle_signal(int sig) { g_signal.store(sig); }
 
@@ -100,9 +111,10 @@ bool parse_args(int argc, char** argv, Options& opts) {
       if (eq == std::string::npos) return false;
       opts.zones.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--max-lease") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.max_lease_s = std::atoll(v);
+      if (!tools::parse_number("--max-lease", next(), int64_t{1},
+                               kMaxSeconds, opts.max_lease_s)) {
+        return false;
+      }
     } else if (arg == "--state-dir") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -117,23 +129,23 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       opts.fsync = policy.value();
     } else if (arg == "--snapshot-interval") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.snapshot_interval_s = std::atoll(v);
-      if (opts.snapshot_interval_s <= 0) return false;
+      if (!tools::parse_number("--snapshot-interval", next(), int64_t{1},
+                               kMaxSeconds, opts.snapshot_interval_s)) {
+        return false;
+      }
     } else if (arg == "--round-robin") {
       opts.round_robin = true;
     } else if (arg == "--lease-storage-budget") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.lease_storage_budget = std::atof(v);
-      if (opts.lease_storage_budget < 0) return false;
+      if (!tools::parse_number("--lease-storage-budget", next(), 0.0,
+                               kMaxBudget, opts.lease_storage_budget)) {
+        return false;
+      }
       opts.planner = true;
     } else if (arg == "--lease-msg-budget") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.lease_msg_budget = std::atof(v);
-      if (opts.lease_msg_budget < 0) return false;
+      if (!tools::parse_number("--lease-msg-budget", next(), 0.0, kMaxBudget,
+                               opts.lease_msg_budget)) {
+        return false;
+      }
       opts.planner = true;
     } else if (arg == "--lambda-estimator") {
       const char* v = next();
@@ -146,19 +158,21 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       opts.estimator = *kind;
     } else if (arg == "--replan-interval") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.replan_interval_s = std::atoll(v);
+      if (!tools::parse_number("--replan-interval", next(), int64_t{0},
+                               kMaxSeconds, opts.replan_interval_s)) {
+        return false;
+      }
     } else if (arg == "--planner-capacity") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.planner_capacity = std::atoll(v);
-      if (opts.planner_capacity < 1) return false;
+      if (!tools::parse_number("--planner-capacity", next(), int64_t{1},
+                               std::numeric_limits<int64_t>::max(),
+                               opts.planner_capacity)) {
+        return false;
+      }
     } else if (arg == "--planner-shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts.planner_shards = std::atoi(v);
-      if (opts.planner_shards < 1) return false;
+      if (!tools::parse_number("--planner-shards", next(), 1, kMaxShards,
+                               opts.planner_shards)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
@@ -219,12 +233,11 @@ int main(int argc, char** argv) {
   if (opts.planner && config.dnscup) {
     config.planner = true;
     if (opts.lease_msg_budget >= 0) {
-      config.policy = core::DnscupAuthority::PolicyKind::kCommBudget;
-      config.message_budget = opts.lease_msg_budget;
+      config.planner_config.mode = planner::LeasePlanner::Mode::kComm;
+      config.planner_config.message_budget = opts.lease_msg_budget;
     } else {
-      config.policy = core::DnscupAuthority::PolicyKind::kStorageBudget;
-      config.storage_budget =
-          static_cast<std::size_t>(opts.lease_storage_budget);
+      config.planner_config.mode = planner::LeasePlanner::Mode::kStorage;
+      config.planner_config.storage_budget = opts.lease_storage_budget;
     }
     config.planner_config.estimator = opts.estimator;
     config.planner_config.replan_interval =

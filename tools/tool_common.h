@@ -1,13 +1,16 @@
 // Shared CLI plumbing for the daemon tools (dnscupd, dnscached) and the
 // load generator (dnsflood): the serving flags every daemon grows
-// identically (--workers/--batch/--io-backend/--pin-cpus/...), metrics
-// dump/aggregation helpers, and the "listening" banner supervisors and
-// check.sh wait for.  Header-only; tools/ is the only consumer.
+// identically (--workers/--batch/--io-backend/--pin-cpus/...), strict
+// numeric flag parsing, metrics dump/aggregation helpers, and the
+// "listening" banner supervisors and check.sh wait for.  Header-only;
+// tools/ is the only consumer.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -18,6 +21,27 @@
 #include "util/metrics.h"
 
 namespace dnscup::tools {
+
+/// Reads the value of a numeric flag strictly: the whole of `text` must
+/// be a T within [lo, hi].  Unlike atoi/atof, which read "5k" as 5 and
+/// "abc" as 0, an empty, non-numeric, trailing-garbage, out-of-range or
+/// overflowing value is rejected (with a message naming the flag) and
+/// `out` is left untouched.  A missing value (null `text`) is rejected
+/// silently, like every other flag-parse error.
+template <typename T>
+bool parse_number(const char* flag, const char* text, T lo, T hi, T& out) {
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // The negated range test also rejects NaN.
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
+    return false;
+  }
+  out = value;
+  return true;
+}
 
 /// Parses "0,2,4" into CPU ids.  Rejects empty lists, stray characters
 /// and negative ids.
