@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <cstring>
 #include <future>
 #include <mutex>
 #include <utility>
@@ -25,12 +24,16 @@ struct SurvivorBox {
   std::vector<push::LeaseSurvivor> survivors;
 };
 
+/// Longest an idle worker sleeps before it advances its event loop.
+constexpr net::Duration kIdleWait = net::milliseconds(2);
+/// Iterations a worker still serves from its sockets after stop(), so a
+/// flood cannot hold the drain open forever.
+constexpr int kDrainBatches = 128;
+
 }  // namespace
 
 CacheRuntime::Worker::Worker(const Config& config)
-    : client_pool(config.inbox_capacity),
-      upstream_pool(config.inbox_capacity),
-      commands(config.command_capacity, &wake) {}
+    : commands(config.command_capacity, &wake) {}
 
 CacheRuntime::CacheRuntime(Config config) : config_(std::move(config)) {
   if (config_.workers < 1) config_.workers = 1;
@@ -65,7 +68,6 @@ util::Status CacheRuntime::bind_sockets() {
     options.rcvbuf_bytes = config_.rcvbuf_bytes;
     options.sndbuf_bytes = config_.sndbuf_bytes;
     options.metrics = &worker.registry;
-    options.pin_cpu = pin_cpu_for(worker.index);
     return options;
   };
 
@@ -154,10 +156,6 @@ util::Result<std::unique_ptr<CacheRuntime>> CacheRuntime::start(
     worker.router.client.io = worker.client_io.get();
     worker.router.upstream.io = worker.upstream_io.get();
     worker.router.upstreams = &cfg.upstreams;
-    worker.inbox_dropped = worker.registry.counter(
-        "cachert_inbox_dropped", {{"worker", std::to_string(i)}});
-    worker.oversize_dropped = worker.registry.counter(
-        "cachert_oversize_dropped", {{"worker", std::to_string(i)}});
 
     server::CachingResolver::Config rc;
     rc.max_retries = cfg.max_retries;
@@ -270,77 +268,47 @@ util::Result<std::unique_ptr<CacheRuntime>> CacheRuntime::start(
     }
   }
 
-  // Go live: worker threads first, then socket intake on both sides.
+  // Go live: each worker arms both sockets' receives on its own thread.
   runtime->running_.store(true);
   for (int i = 0; i < n; ++i) {
     Worker& worker = *runtime->workers_[i];
     worker.thread =
         std::thread([rt = runtime.get(), &worker] { rt->worker_loop(worker); });
-    auto intake = [&worker](runtime::BufferPool& pool) {
-      return [&worker, &pool](std::span<const net::RxPacket> batch) {
-        for (const auto& packet : batch) {
-          if (packet.data.size() > runtime::BufferPool::kSlotBytes) {
-            worker.oversize_dropped.inc();
-            continue;
-          }
-          runtime::BufferPool::Slot* slot = pool.acquire();
-          if (slot == nullptr) {
-            worker.inbox_dropped.inc();  // worker behind; shed load
-            continue;
-          }
-          slot->from = packet.from;
-          slot->len = static_cast<uint32_t>(packet.data.size());
-          std::memcpy(slot->bytes.data(), packet.data.data(),
-                      packet.data.size());
-          pool.commit(slot);
-        }
-        worker.wake.wake();
-      };
-    };
-    worker.client_io->set_batch_receive_handler(intake(worker.client_pool));
-    worker.upstream_io->set_batch_receive_handler(
-        intake(worker.upstream_pool));
   }
   return runtime;
 }
 
-void CacheRuntime::pump_pool(Worker& worker, runtime::BufferPool& pool) {
-  runtime::BufferPool::Slot* slot = nullptr;
-  while ((slot = pool.take_filled()) != nullptr) {
-    if (worker.router.handler) {
-      worker.router.handler(
-          slot->from, std::span<const uint8_t>(slot->bytes.data(), slot->len));
-    }
-    pool.release(slot);
-  }
-}
-
 void CacheRuntime::worker_loop(Worker& worker) {
-  // Same CPU as both receiver threads when pinning is configured.
   net::pin_current_thread_to_cpu(pin_cpu_for(worker.index));
   const std::size_t batch_size = config_.batch_size;
   std::deque<std::function<void()>> commands;
   worker.router.client.batching = true;
   worker.router.upstream.batching = true;
+  const net::IoBackend::BatchReceiveHandler serve =
+      [&worker](std::span<const net::RxPacket> batch) {
+        if (!worker.router.handler) return;
+        for (const net::RxPacket& packet : batch) {
+          worker.router.handler(packet.from, packet.data);
+        }
+      };
+  // One wait covers both sockets and the command queue's eventfd.
+  const net::IoBackend::Wait idle{worker.wake.fd(),
+                                  worker.upstream_io->ready_fd(), kIdleWait};
+  int drain_batches = kDrainBatches;
   for (;;) {
+    const bool stopping = worker.stop.load(std::memory_order_acquire);
     // Upstream datagrams first: a response or CACHE-UPDATE that just
     // arrived can turn pending client queries into cache hits within the
     // same iteration.  Upstream bursts are small (one per in-flight task
-    // or push), so they are drained fully; client intake is bounded by
-    // the batch size like the authority runtime.
-    pump_pool(worker, worker.upstream_pool);
-    std::size_t served = 0;
-    runtime::BufferPool::Slot* slot = nullptr;
-    while (served < batch_size &&
-           (slot = worker.client_pool.take_filled()) != nullptr) {
-      if (worker.router.handler) {
-        worker.router.handler(
-            slot->from,
-            std::span<const uint8_t>(slot->bytes.data(), slot->len));
-      }
-      worker.client_pool.release(slot);
-      ++served;
-    }
+    // or push), so one receive takes a whole burst; client intake is
+    // bounded by the batch size like the authority runtime.
+    const std::size_t upstream = worker.upstream_io->receive(
+        worker.upstream_io->batch_slots(), serve);
+    const bool may_wait =
+        !stopping && upstream == 0 && worker.commands.empty();
+    const std::size_t served = worker.client_io->receive(
+        batch_size, serve, may_wait ? &idle : nullptr);
+    if (may_wait && served == 0) worker.wake.clear();
     worker.router.flush();
     worker.commands.drain(commands);
     for (auto& command : commands) command();
@@ -348,16 +316,11 @@ void CacheRuntime::worker_loop(Worker& worker) {
     // renegotiation refreshes — all on the owning thread.
     worker.loop.run_until(now_us());
     worker.router.flush();
-    if (worker.stop.load(std::memory_order_acquire)) {
-      if (!worker.client_pool.has_filled() &&
-          !worker.upstream_pool.has_filled() && worker.commands.empty()) {
-        break;
-      }
-      continue;  // drain what arrived before intake stopped
-    }
-    if (!worker.client_pool.has_filled() &&
-        !worker.upstream_pool.has_filled() && worker.commands.empty()) {
-      worker.wake.wait_for(std::chrono::milliseconds(2));
+    // After stop(): answer what is still queued on the sockets, then exit.
+    if (stopping && ((upstream == 0 && served == 0 &&
+                      worker.commands.empty()) ||
+                     --drain_batches == 0)) {
+      break;
     }
   }
   worker.router.client.batching = false;
@@ -370,10 +333,6 @@ void CacheRuntime::stop() {
   // queues, so they must be quiet before the workers drain and exit.
   for (auto& worker : workers_) {
     if (worker->push_client != nullptr) worker->push_client->stop();
-  }
-  for (auto& worker : workers_) {
-    worker->client_io->stop_receiving();
-    worker->upstream_io->stop_receiving();
   }
   for (auto& worker : workers_) {
     worker->stop.store(true, std::memory_order_release);

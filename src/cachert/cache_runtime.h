@@ -20,10 +20,14 @@
 //   * (leases enabled) a LeaseClient: RRC reporting on EXT queries, LLT
 //     lease registration, CACHE-UPDATE consumption + ACK, renegotiation.
 //
-// The query hot path — client query in, cache hit, answer out — takes
-// zero locks; cross-thread work flows over the same bounded MPSC queues
-// and buffer pools as the authority runtime (src/runtime), and responses
-// batch through ShimTransport into one sendmmsg per loop iteration.
+// Each worker runs to completion on its own thread, like the authority
+// runtime (src/runtime): it pulls datagrams straight from its upstream
+// socket, then its client socket (IoBackend::receive), and when nothing
+// is ready it sleeps in one kernel wait covering both sockets and its
+// wake eventfd.  The query hot path — client query in, cache hit, answer
+// out — takes zero locks; cross-thread work (push-channel payloads,
+// control commands) flows over bounded MPSC queues, and responses batch
+// through ShimTransport into one send batch per socket per iteration.
 //
 // When the authority goes silent the worker degrades exactly as the
 // paper prescribes: leases run out, entries fall back to TTL freshness,
@@ -45,7 +49,6 @@
 #include "net/event_loop.h"
 #include "net/io_backend.h"
 #include "push/push_client.h"
-#include "runtime/buffer_pool.h"
 #include "runtime/mpsc_queue.h"
 #include "runtime/shim_transport.h"
 #include "server/resolver.h"
@@ -69,8 +72,8 @@ struct Config {
   /// portable (with a warning) when the kernel lacks support.
   net::IoBackendKind io_backend = net::IoBackendKind::kDefault;
 
-  /// Worker CPU affinity: worker i (loop thread + both receiver
-  /// threads) is pinned to pin_cpus[i % size].  Empty = no pinning.
+  /// Worker CPU affinity: worker i's thread is pinned to
+  /// pin_cpus[i % size].  Empty = no pinning.
   std::vector<int> pin_cpus;
 
   /// Upstream authorities, tried in order with retries/failover.  These
@@ -108,11 +111,9 @@ struct Config {
   net::Endpoint push_authority{};
   push::PushClient::Config push;  ///< reconnect/keepalive knobs
 
-  /// Datagram slots per worker per socket side, shared with the socket's
-  /// receiver thread; overflow drops (counted cachert_inbox_dropped).
-  std::size_t inbox_capacity = 4096;
   std::size_t command_capacity = 256;
-  /// Datagrams served per loop iteration before one sendmmsg flush.
+  /// Client datagrams received and served per loop iteration before one
+  /// send flush.
   std::size_t batch_size = 32;
 };
 
@@ -127,9 +128,9 @@ class CacheRuntime {
   CacheRuntime(const CacheRuntime&) = delete;
   CacheRuntime& operator=(const CacheRuntime&) = delete;
 
-  /// Graceful drain: stops socket intake, answers what is queued (cache
-  /// hits only — in-flight upstream tasks are abandoned), joins workers.
-  /// Idempotent.
+  /// Graceful drain: every worker answers what is queued on its sockets
+  /// (bounded; cache hits only — in-flight upstream tasks are
+  /// abandoned), then exits.  Idempotent.
   void stop();
 
   /// Client-facing endpoints: one entry in REUSEPORT mode, one per
@@ -193,8 +194,6 @@ class CacheRuntime {
     metrics::MetricsRegistry registry;
     net::EventLoop loop{&registry};
     runtime::WakeSignal wake;
-    runtime::BufferPool client_pool;
-    runtime::BufferPool upstream_pool;
     runtime::BoundedMpscQueue<std::function<void()>> commands;
 
     /// Routes resolver sends: destinations in the upstream set leave via
@@ -241,8 +240,6 @@ class CacheRuntime {
     std::unique_ptr<server::CachingResolver> resolver;
     std::unique_ptr<core::LeaseClient> lease_client;
     std::unique_ptr<push::PushClient> push_client;
-    metrics::Counter inbox_dropped;
-    metrics::Counter oversize_dropped;
     std::atomic<bool> stop{false};
     std::thread thread;
   };
@@ -254,7 +251,6 @@ class CacheRuntime {
   int pin_cpu_for(int index) const;
   void worker_loop(Worker& worker);
   void run_on_worker(Worker& worker, std::function<void()> fn);
-  static void pump_pool(Worker& worker, runtime::BufferPool& pool);
 
   Config config_;
   std::chrono::steady_clock::time_point epoch_;

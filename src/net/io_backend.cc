@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,7 +25,45 @@ namespace dnscup::net {
 
 namespace {
 constexpr uint32_t kLoopbackIp = 0x7F000001;  // 127.0.0.1
+/// Wait bound of the receive-handler thread; stop_receiving() ends the
+/// wait early through stop_fd_, so this only caps a lost wake.
+constexpr Duration kHandlerWait = milliseconds(50);
 }  // namespace
+
+IoBackend::~IoBackend() {
+  stop_receiving();
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+}
+
+void IoBackend::set_receive_handler(ReceiveHandler handler) {
+  stop_receiving();
+  handler_ = std::move(handler);
+  if (!handler_) return;
+  if (stop_fd_ < 0) stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(stop_fd_, &count, sizeof count);
+  stopping_.store(false, std::memory_order_relaxed);
+  handler_thread_ = std::thread([this] { handler_loop(); });
+}
+
+void IoBackend::stop_receiving() {
+  if (!handler_thread_.joinable()) return;
+  stopping_.store(true, std::memory_order_release);
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(stop_fd_, &one, sizeof one);
+  handler_thread_.join();
+}
+
+void IoBackend::handler_loop() {
+  const BatchReceiveHandler deliver =
+      [this](std::span<const RxPacket> batch) {
+        for (const RxPacket& packet : batch) handler_(packet.from, packet.data);
+      };
+  const Wait wait{stop_fd_, -1, kHandlerWait};
+  while (!stopping_.load(std::memory_order_acquire)) {
+    receive(batch_slots(), deliver, &wait);
+  }
+}
 
 std::optional<IoBackendKind> parse_io_backend_kind(std::string_view text) {
   if (text == "portable") return IoBackendKind::kPortable;
@@ -175,11 +214,6 @@ util::Result<int> open_udp_socket(const IoBackend::Options& options,
     return util::make_error(util::ErrorCode::kIo,
                             std::string("getsockname: ") + std::strerror(err));
   }
-  // A short receive timeout lets blocking receivers notice shutdown.
-  timeval tv{};
-  tv.tv_usec = 50 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-
   *local = Endpoint{kLoopbackIp, ntohs(addr.sin_port)};
   return fd;
 }

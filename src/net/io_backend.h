@@ -4,21 +4,28 @@
 // machinery.  A backend owns one bound UDP socket plus whatever syscall
 // strategy it serves it with:
 //
-//   * "portable" (UdpTransport) — blocking recvmmsg/sendmmsg on a
-//     receiver thread; works on every kernel and is the fallback,
+//   * "portable" (UdpTransport) — recvmmsg/sendmmsg, waiting in ppoll;
+//     works on every kernel and is the fallback,
 //   * "uring" (UringBackend)   — io_uring multishot receive into a
-//     registered provided-buffer ring, batched submit-and-wait sends;
-//     compiled when <linux/io_uring.h> is present and engaged only when
-//     the running kernel accepts the ring setup.
+//     provided-buffer group, batched submit-and-wait sends; compiled
+//     when <linux/io_uring.h> is present and engaged only when the
+//     running kernel accepts the ring setup.
 //
-// Every backend delivers the same contract: kernel bursts arrive as one
-// BatchReceiveHandler call on the backend's receiver thread (spans valid
-// only inside the handler — callers copy into their BufferPool slots),
-// and send_batch() hands a whole response batch to the kernel in as few
-// syscalls as the strategy allows.  Readiness is the backend's own
-// affair: each runs a dedicated receiver thread and integrates with the
-// worker's EventLoop through the wake signal the handler raises, so the
-// worker loop never blocks on socket state.
+// Every backend delivers the same contract.  Receiving is a pull:
+// receive() runs on the thread that owns the socket (a serving worker)
+// and hands up to `max` ready datagrams to a batch handler on that
+// thread, as spans into the backend's receive buffers that are valid
+// only inside the handler.  When nothing is ready it first blocks, in
+// one kernel wait, until a datagram arrives, the caller's wake fd fires,
+// a second watched fd becomes readable, or the timeout passes — so a
+// worker serves, sends and sleeps on its own thread and no datagram
+// crosses a thread.  The kernel socket queue is the only inbox; its
+// drops are counted in udp_rx_overflow.  send_batch() hands a whole
+// response batch to the kernel in as few syscalls as the strategy
+// allows.
+//
+// The plain Transport mode (set_receive_handler: dnsq, dnsflood, tests)
+// is a thread the backend starts that loops over the same receive().
 //
 // Selection: bind_io_backend() resolves kDefault through the
 // DNSCUP_IO_BACKEND environment variable (portable when unset), tries
@@ -27,9 +34,11 @@
 // Callers that must know what actually engaged read backend_name().
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <thread>
 
 #include "net/transport.h"
 #include "util/result.h"
@@ -53,7 +62,7 @@ struct RxPacket {
 
 enum class IoBackendKind {
   kDefault,   ///< resolve via $DNSCUP_IO_BACKEND, else portable
-  kPortable,  ///< recvmmsg/sendmmsg receiver thread (UdpTransport)
+  kPortable,  ///< recvmmsg/sendmmsg + ppoll (UdpTransport)
   kUring,     ///< io_uring multishot receive + batched submits
 };
 
@@ -80,14 +89,28 @@ class IoBackend : public Transport {
     /// Traffic counters register here (default_registry() when null),
     /// labeled with the local endpoint and the backend name.
     metrics::MetricsRegistry* metrics = nullptr;
-    /// Pin the backend's receiver thread to this CPU; -1 leaves it to
-    /// the scheduler.
-    int pin_cpu = -1;
   };
 
-  /// Invoked on the receiver thread with every datagram the kernel had
-  /// queued (one syscall's worth).  Replaces the per-packet handler.
+  /// Receives one call's datagrams; spans are valid only inside it.
   using BatchReceiveHandler = std::function<void(std::span<const RxPacket>)>;
+
+  /// What receive() may block on when no datagram is ready.
+  struct Wait {
+    /// Ends the wait when readable (an eventfd the caller's producers
+    /// signal); never consumed here.  -1: none.
+    int wake_fd = -1;
+    /// A second fd to watch, e.g. another backend's ready_fd() owned by
+    /// the same thread.  -1: none.
+    int also_fd = -1;
+    Duration timeout = 0;  ///< longest the wait may last
+  };
+
+  IoBackend() = default;
+  /// Joins the receive-handler thread, if one runs.
+  ~IoBackend() override;
+
+  IoBackend(const IoBackend&) = delete;
+  IoBackend& operator=(const IoBackend&) = delete;
 
   /// Stable identifier of the engaged strategy ("portable", "uring",
   /// "sim"); metrics carry it as the `backend` label.
@@ -101,17 +124,39 @@ class IoBackend : public Transport {
   /// is counted in the backend's tx error metric.
   virtual std::size_t send_batch(std::span<const TxPacket> packets) = 0;
 
-  /// Batch intake: when set, the receiver thread delivers whole kernel
-  /// bursts through this handler instead of the per-packet one.
-  virtual void set_batch_receive_handler(BatchReceiveHandler handler) = 0;
+  /// Pull receive, called only by the one thread that owns the socket.
+  /// Hands up to `max` ready datagrams to `handler` in a single call and
+  /// returns how many.  With `wait`, when nothing is ready it first
+  /// blocks until a datagram arrives, a watched fd becomes readable or
+  /// the timeout passes, then looks once more (and may return 0).
+  virtual std::size_t receive(std::size_t max,
+                              const BatchReceiveHandler& handler,
+                              const Wait* wait = nullptr) = 0;
 
-  /// Joins the receiver thread; the socket stays open for send().  Used
-  /// by the runtimes' drain sequence (stop intake, keep answering) and
-  /// idempotent — destructors call it too.
-  virtual void stop_receiving() = 0;
+  /// Readable while datagrams wait for receive() (the socket, or the
+  /// ring whose completions carry them), so one thread's wait can cover
+  /// a second backend through Wait::also_fd.
+  virtual int ready_fd() const = 0;
+
+  /// Plain Transport mode: starts a thread that loops over receive()
+  /// and calls `handler` per datagram (replacing any previous handler
+  /// and thread).  Not for sockets a worker receives on itself.
+  void set_receive_handler(ReceiveHandler handler) final;
+
+  /// Joins the receive-handler thread; the socket stays open for send().
+  /// Idempotent; a no-op when no handler thread runs.
+  void stop_receiving();
 
   /// Value snapshot of the traffic counters (atomics — no lock taken).
   virtual TrafficStats stats() const = 0;
+
+ private:
+  void handler_loop();
+
+  ReceiveHandler handler_;
+  int stop_fd_ = -1;  ///< eventfd that ends the handler thread's wait
+  std::atomic<bool> stopping_{false};
+  std::thread handler_thread_;
 };
 
 /// Binds a backend of the resolved kind on 127.0.0.1.  A uring request
@@ -136,9 +181,8 @@ bool pin_current_thread_to_cpu(int cpu);
 
 namespace detail {
 /// Opens + binds the loopback UDP socket every backend serves: applies
-/// reuseport/buffer options, SO_RXQ_OVFL drop accounting and the 50 ms
-/// receive timeout that bounds shutdown latency.  Returns the fd and
-/// fills `local` with the bound endpoint.
+/// reuseport/buffer options and SO_RXQ_OVFL drop accounting.  Returns
+/// the fd and fills `local` with the bound endpoint.
 util::Result<int> open_udp_socket(const IoBackend::Options& options,
                                   Endpoint* local);
 }  // namespace detail

@@ -52,7 +52,7 @@ struct TrafficStats {
 /// engaged backend and its batch geometry, so BENCH files and scrapes are
 /// self-describing.  Detached (registry-invisible) until register_in is
 /// called.  Counter/Gauge cells are relaxed atomics, so a backend may bump
-/// the rx side from its receiver thread while protocol code bumps tx — no
+/// the rx side from its receiving thread while protocol code bumps tx — no
 /// lock is required around increments or snapshot().
 struct TrafficInstruments {
   metrics::Counter packets_sent;

@@ -18,12 +18,6 @@
 namespace dnscup::net {
 
 namespace {
-/// Datagrams per sendmmsg/recvmmsg syscall.
-constexpr std::size_t kBatchSlots = 64;
-/// Bytes per batch receive slot — generous for this protocol, whose
-/// datagrams never exceed kMaxUdpPayload; larger inbound packets are
-/// dropped and counted in udp_rx_truncated.
-constexpr std::size_t kRxSlotBytes = 4096;
 /// EAGAIN retry budget per datagram before it is dropped as a tx error.
 constexpr int kMaxEagainRetries = 8;
 constexpr int kPollOutTimeoutMs = 10;
@@ -57,9 +51,8 @@ util::Result<std::unique_ptr<UdpTransport>> UdpTransport::bind(
 }
 
 UdpTransport::UdpTransport(int fd, Endpoint local, const Options& options)
-    : fd_(fd), local_(local), pin_cpu_(options.pin_cpu) {
-  // Registration happens before the receiver thread starts, so the
-  // (single-threaded) registry is never touched concurrently.
+    : fd_(fd), local_(local), rx_slots_(kBatchSlots) {
+  rx_batch_.reserve(kBatchSlots);
   auto& registry = metrics::resolve(options.metrics);
   stats_.register_in(registry, local_.to_string(), "portable", kBatchSlots);
   const metrics::Labels ep{{"endpoint", local_.to_string()}};
@@ -71,15 +64,9 @@ UdpTransport::UdpTransport(int fd, Endpoint local, const Options& options)
   rx_batch_size_ = registry.histogram("udp_rx_batch_size", ep);
   tx_batch_size_ = registry.histogram("udp_tx_batch_size", ep);
   tx_flush_us_ = registry.histogram("udp_tx_flush_us", ep);
-  receiver_ = std::thread([this] { receive_loop(); });
 }
 
 TrafficStats UdpTransport::stats() const { return stats_.snapshot(); }
-
-void UdpTransport::stop_receiving() {
-  stopping_.store(true);
-  if (receiver_.joinable()) receiver_.join();
-}
 
 UdpTransport::~UdpTransport() {
   stop_receiving();
@@ -178,135 +165,73 @@ std::size_t UdpTransport::send_batch(std::span<const TxPacket> packets) {
   return sent;
 }
 
-void UdpTransport::set_receive_handler(ReceiveHandler handler) {
-  std::lock_guard lock(handler_mutex_);
-  handler_ = std::move(handler);
+std::size_t UdpTransport::receive(std::size_t max,
+                                  const BatchReceiveHandler& handler,
+                                  const Wait* wait) {
+  const std::size_t got = receive_ready(max, handler);
+  if (got > 0 || wait == nullptr) return got;
+  std::array<pollfd, 3> fds{};
+  nfds_t count = 0;
+  fds[count++] = {fd_, POLLIN, 0};
+  for (const int fd : {wait->wake_fd, wait->also_fd}) {
+    if (fd >= 0) fds[count++] = {fd, POLLIN, 0};
+  }
+  const timespec ts{static_cast<time_t>(wait->timeout / 1000000),
+                    static_cast<long>(wait->timeout % 1000000) * 1000};
+  if (::ppoll(fds.data(), count, &ts, nullptr) <= 0 ||
+      (fds[0].revents & POLLIN) == 0) {
+    return 0;  // timeout, a wake, or the other fd: the caller re-checks
+  }
+  return receive_ready(max, handler);
 }
 
-void UdpTransport::set_batch_receive_handler(BatchReceiveHandler handler) {
-  std::lock_guard lock(handler_mutex_);
-  batch_handler_ = std::move(handler);
-}
-
-void UdpTransport::receive_loop() {
-  pin_current_thread_to_cpu(pin_cpu_);
-#ifdef __linux__
-  // Batched intake: one recvmmsg drains the kernel's whole backlog (up
-  // to kBatchSlots) per syscall.  MSG_WAITFORONE blocks for the first
-  // datagram only — under load the syscall returns full batches, while
-  // an idle socket still honours SO_RCVTIMEO so shutdown is noticed.
-  struct RxSlot {
-    std::array<uint8_t, kRxSlotBytes> buf;
-    sockaddr_in from;
-    alignas(cmsghdr) std::array<uint8_t, 64> control;
-  };
-  std::vector<RxSlot> slots(kBatchSlots);  // one-time setup allocation
-  std::array<mmsghdr, kBatchSlots> msgs;
-  std::array<iovec, kBatchSlots> iovs;
-  std::vector<RxPacket> batch;
-  batch.reserve(kBatchSlots);
-  while (!stopping_.load()) {
-    for (std::size_t i = 0; i < kBatchSlots; ++i) {
-      iovs[i] = {slots[i].buf.data(), slots[i].buf.size()};
-      msgs[i] = {};
-      msgs[i].msg_hdr.msg_name = &slots[i].from;
-      msgs[i].msg_hdr.msg_namelen = sizeof slots[i].from;
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_control = slots[i].control.data();
-      msgs[i].msg_hdr.msg_controllen = slots[i].control.size();
-    }
-    const int r = ::recvmmsg(fd_, msgs.data(), kBatchSlots, MSG_WAITFORONE,
-                             nullptr);
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;  // socket closed or fatal error
-    }
-    batch.clear();
-    for (int i = 0; i < r; ++i) {
-      const msghdr& hdr = msgs[i].msg_hdr;
+std::size_t UdpTransport::receive_ready(std::size_t max,
+                                        const BatchReceiveHandler& handler) {
+  const std::size_t slots = std::min(max, kBatchSlots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    rx_iovs_[i] = {rx_slots_[i].buf.data(), rx_slots_[i].buf.size()};
+    rx_msgs_[i] = {};
+    msghdr& hdr = rx_msgs_[i].msg_hdr;
+    hdr.msg_name = &rx_slots_[i].from;
+    hdr.msg_namelen = sizeof rx_slots_[i].from;
+    hdr.msg_iov = &rx_iovs_[i];
+    hdr.msg_iovlen = 1;
+    hdr.msg_control = rx_slots_[i].control.data();
+    hdr.msg_controllen = rx_slots_[i].control.size();
+  }
+  const int r = ::recvmmsg(fd_, rx_msgs_.data(), static_cast<unsigned>(slots),
+                           MSG_DONTWAIT, nullptr);
+  if (r <= 0) return 0;  // EAGAIN (empty), EINTR, or a closed socket
+  rx_batch_.clear();
+  for (int i = 0; i < r; ++i) {
+    const msghdr& hdr = rx_msgs_[i].msg_hdr;
 #ifdef SO_RXQ_OVFL
-      for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr;
-           cmsg = CMSG_NXTHDR(const_cast<msghdr*>(&hdr), cmsg)) {
-        if (cmsg->cmsg_level == SOL_SOCKET &&
-            cmsg->cmsg_type == SO_RXQ_OVFL) {
-          // The kernel reports the cumulative drop count; publish the
-          // delta.
-          uint32_t dropped = 0;
-          std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof dropped);
-          if (dropped > last_overflow_) {
-            rx_overflow_ += dropped - last_overflow_;
-          }
-          last_overflow_ = dropped;
-        }
+    for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr;
+         cmsg = CMSG_NXTHDR(const_cast<msghdr*>(&hdr), cmsg)) {
+      if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
+        // The kernel reports the cumulative drop count; publish the delta.
+        uint32_t dropped = 0;
+        std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof dropped);
+        if (dropped > last_overflow_) rx_overflow_ += dropped - last_overflow_;
+        last_overflow_ = dropped;
       }
+    }
 #endif
-      if ((hdr.msg_flags & MSG_TRUNC) != 0) {
-        ++rx_truncated_;  // larger than a slot: not a valid DNS datagram
-        continue;
-      }
-      ++stats_.packets_received;
-      stats_.bytes_received += msgs[i].msg_len;
-      batch.push_back(RxPacket{
-          Endpoint{ntohl(slots[i].from.sin_addr.s_addr),
-                   ntohs(slots[i].from.sin_port)},
-          std::span<const uint8_t>(slots[i].buf.data(), msgs[i].msg_len)});
+    if ((hdr.msg_flags & MSG_TRUNC) != 0) {
+      ++rx_truncated_;  // larger than a slot: not a valid DNS datagram
+      continue;
     }
-    if (batch.empty()) continue;
-    rx_batch_size_.add(static_cast<double>(batch.size()));
-    BatchReceiveHandler batch_handler;
-    ReceiveHandler handler;
-    {
-      std::lock_guard lock(handler_mutex_);
-      batch_handler = batch_handler_;
-      handler = handler_;
-    }
-    if (batch_handler) {
-      batch_handler(std::span<const RxPacket>(batch));
-    } else if (handler) {
-      for (const RxPacket& p : batch) handler(p.from, p.data);
-    }
-  }
-#else
-  // Portable fallback: one recvmsg per datagram.
-  std::array<uint8_t, 65536> buf;
-  while (!stopping_.load()) {
-    sockaddr_in from{};
-    iovec iov{buf.data(), buf.size()};
-    alignas(cmsghdr) std::array<uint8_t, 64> control;
-    msghdr msg{};
-    msg.msg_name = &from;
-    msg.msg_namelen = sizeof from;
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-    msg.msg_control = control.data();
-    msg.msg_controllen = control.size();
-    const ssize_t n = ::recvmsg(fd_, &msg, 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;  // socket closed or fatal error
-    }
-    const Endpoint source{ntohl(from.sin_addr.s_addr), ntohs(from.sin_port)};
+    const RxSlot& slot = rx_slots_[static_cast<std::size_t>(i)];
     ++stats_.packets_received;
-    stats_.bytes_received += static_cast<uint64_t>(n);
-    rx_batch_size_.add(1.0);
-    BatchReceiveHandler batch_handler;
-    ReceiveHandler handler;
-    {
-      std::lock_guard lock(handler_mutex_);
-      batch_handler = batch_handler_;
-      handler = handler_;
-    }
-    const RxPacket packet{
-        source,
-        std::span<const uint8_t>(buf.data(), static_cast<std::size_t>(n))};
-    if (batch_handler) {
-      batch_handler(std::span<const RxPacket>(&packet, 1));
-    } else if (handler) {
-      handler(packet.from, packet.data);
-    }
+    stats_.bytes_received += rx_msgs_[i].msg_len;
+    rx_batch_.push_back(RxPacket{
+        Endpoint{ntohl(slot.from.sin_addr.s_addr), ntohs(slot.from.sin_port)},
+        std::span<const uint8_t>(slot.buf.data(), rx_msgs_[i].msg_len)});
   }
-#endif
+  if (rx_batch_.empty()) return 0;
+  rx_batch_size_.add(static_cast<double>(rx_batch_.size()));
+  handler(std::span<const RxPacket>(rx_batch_));
+  return rx_batch_.size();
 }
 
 }  // namespace dnscup::net

@@ -1,21 +1,25 @@
-// Portable datagram I/O backend (the "portable" IoBackend): a background
-// thread blocks on recvmmsg/recvmsg and hands whole kernel bursts to the
-// batch receive handler; sends leave via sendto/sendmmsg.  Works on every
-// kernel and is the fallback every other backend degrades to.
+// Portable datagram I/O backend (the "portable" IoBackend): receive()
+// reads whole bursts with recvmmsg(MSG_DONTWAIT) on the calling thread
+// and, when the socket is empty, waits in one ppoll over the socket and
+// the caller's wake and watched fds; sends leave via sendto/sendmmsg.
+// Works on every kernel and is the fallback every other backend degrades
+// to.
 //
-// The handler pointer is the only state behind the mutex.  Traffic
-// counters are registry-backed atomics, so send() is lock-free — protocol
-// code may send from inside a receive callback (the DNScup authority
-// answers queries exactly there) without serializing against stats reads.
+// Traffic counters are registry-backed atomics, so send() is lock-free —
+// protocol code may send from inside a receive callback (the DNScup
+// authority answers queries exactly there) without serializing against
+// stats reads.
 //
 // The sharded runtimes (src/runtime, src/cachert) bind one backend per
 // worker with SO_REUSEPORT so the kernel spreads query flows across
 // workers; everything deterministic still runs on SimNetwork.
 #pragma once
 
-#include <atomic>
-#include <mutex>
-#include <thread>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <array>
+#include <vector>
 
 #include "net/io_backend.h"
 #include "util/result.h"
@@ -63,17 +67,12 @@ class UdpTransport final : public IoBackend {
   /// udp_tx_batch_size / udp_tx_flush_us histograms.
   std::size_t send_batch(std::span<const TxPacket> packets) override;
 
-  void set_receive_handler(ReceiveHandler handler) override;
-
-  /// Batch intake: when set, the receiver thread delivers whole kernel
-  /// bursts (recvmmsg with MSG_WAITFORONE on Linux) through this handler
-  /// instead of the per-packet one.  Burst sizes feed udp_rx_batch_size.
-  void set_batch_receive_handler(BatchReceiveHandler handler) override;
-
-  /// Joins the receiver thread; the socket stays open for send().  Used
-  /// by the runtime's drain sequence (stop intake, keep answering) and
-  /// idempotent — the destructor calls it too.
-  void stop_receiving() override;
+  /// One recvmmsg(MSG_DONTWAIT) of up to `max` datagrams (at most
+  /// kBatchSlots); when the socket is empty and `wait` is given, one
+  /// ppoll first.  Burst sizes feed udp_rx_batch_size.
+  std::size_t receive(std::size_t max, const BatchReceiveHandler& handler,
+                      const Wait* wait = nullptr) override;
+  int ready_fd() const override { return fd_; }
 
   /// Value snapshot of the traffic counters (atomics — no lock taken).
   TrafficStats stats() const override;
@@ -89,24 +88,38 @@ class UdpTransport final : public IoBackend {
   /// Datagrams dropped on a hard send error (or an exhausted EAGAIN
   /// retry budget).
   uint64_t tx_errors() const { return tx_errors_.value(); }
-  /// Inbound datagrams larger than a receive slot, dropped (Linux batch
-  /// path only; the fallback path's 64 KiB buffer never truncates).
+  /// Inbound datagrams larger than a receive slot, dropped.
   uint64_t rx_truncated() const { return rx_truncated_.value(); }
 
  private:
+  /// Datagrams per sendmmsg/recvmmsg syscall.
+  static constexpr std::size_t kBatchSlots = 64;
+  /// Bytes per receive slot — generous for this protocol, whose
+  /// datagrams never exceed kMaxUdpPayload; larger inbound datagrams are
+  /// dropped and counted in udp_rx_truncated.
+  static constexpr std::size_t kRxSlotBytes = 4096;
+
+  struct RxSlot {
+    std::array<uint8_t, kRxSlotBytes> buf;
+    sockaddr_in from;
+    alignas(cmsghdr) std::array<uint8_t, 64> control;
+  };
+
   UdpTransport(int fd, Endpoint local, const Options& options);
-  void receive_loop();
+  /// One non-blocking recvmmsg; hands what it read to `handler`.
+  std::size_t receive_ready(std::size_t max,
+                            const BatchReceiveHandler& handler);
   /// Blocks (bounded) until the socket is writable after EAGAIN.
   void wait_writable();
   void count_sent(std::size_t requested, std::size_t accepted);
 
   int fd_;
   Endpoint local_;
-  int pin_cpu_ = -1;
-  std::atomic<bool> stopping_{false};
-  mutable std::mutex handler_mutex_;  // guards handler_ / batch_handler_
-  ReceiveHandler handler_;
-  BatchReceiveHandler batch_handler_;
+  // Receive state, touched only by the thread calling receive().
+  std::vector<RxSlot> rx_slots_;
+  std::array<mmsghdr, kBatchSlots> rx_msgs_{};
+  std::array<iovec, kBatchSlots> rx_iovs_{};
+  std::vector<RxPacket> rx_batch_;
   TrafficInstruments stats_;
   metrics::Counter rx_overflow_;
   metrics::Counter rx_truncated_;
@@ -116,8 +129,7 @@ class UdpTransport final : public IoBackend {
   metrics::HistogramMetric rx_batch_size_;
   metrics::HistogramMetric tx_batch_size_;
   metrics::HistogramMetric tx_flush_us_;
-  uint32_t last_overflow_ = 0;  ///< receiver-thread-only cumulative mark
-  std::thread receiver_;
+  uint32_t last_overflow_ = 0;  ///< receive()-side cumulative mark
 };
 
 }  // namespace dnscup::net

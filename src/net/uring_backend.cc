@@ -22,20 +22,20 @@ namespace dnscup::net {
 namespace {
 
 constexpr unsigned kBufGroup = 0;
+// rx-ring completion tags.
 constexpr uint64_t kRecvUserData = ~0ULL;
 constexpr uint64_t kProvideUserData = ~0ULL - 1;
+constexpr uint64_t kWakeUserData = ~0ULL - 2;
+constexpr uint64_t kAlsoUserData = ~0ULL - 3;
+constexpr uint64_t kProbeUserData = ~0ULL - 4;
+constexpr uint64_t kCancelUserData = ~0ULL - 5;
 constexpr int kMaxEagainRetries = 8;
 constexpr int kPollOutTimeoutMs = 10;
-constexpr long kWaitTimeoutNs = 50 * 1000 * 1000;  // mirrors SO_RCVTIMEO
+/// Bound on the bind-time probe's wait for its cancelled receive.
+constexpr long kProbeWaitNs = 100 * 1000 * 1000;
 
 int sys_io_uring_setup(unsigned entries, io_uring_params* p) {
   return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-int sys_io_uring_register(int fd, unsigned opcode, const void* arg,
-                          unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
 }
 
 sockaddr_in make_addr(const Endpoint& ep) {
@@ -120,8 +120,8 @@ void UringBackend::Ring::close_ring() {
 }
 
 io_uring_sqe* UringBackend::Ring::get_sqe() {
-  // Single producer per ring (receiver thread on rx, tx_mutex_ holder on
-  // tx); only the kernel-consumed head needs an acquire.
+  // Single producer per ring (the receive() caller on rx, the tx_mutex_
+  // holder on tx); only the kernel-consumed head needs an acquire.
   const unsigned head = __atomic_load_n(sq_head, __ATOMIC_ACQUIRE);
   const unsigned tail = *sq_tail;
   if (tail - head > sq_mask) return nullptr;  // ring full
@@ -130,6 +130,10 @@ io_uring_sqe* UringBackend::Ring::get_sqe() {
   sq_array[tail & sq_mask] = tail & sq_mask;
   __atomic_store_n(sq_tail, tail + 1, __ATOMIC_RELEASE);
   return sqe;
+}
+
+unsigned UringBackend::Ring::unsubmitted() const {
+  return *sq_tail - __atomic_load_n(sq_head, __ATOMIC_ACQUIRE);
 }
 
 int UringBackend::Ring::enter(unsigned to_submit, unsigned min_complete,
@@ -150,15 +154,14 @@ util::Result<std::unique_ptr<UringBackend>> UringBackend::bind(
   if (!fd.ok()) return fd.error();
   std::unique_ptr<UringBackend> backend(
       new UringBackend(fd.value(), local, options));
-  if (auto status = backend->setup(options); !status.ok()) {
+  if (auto status = backend->setup(); !status.ok()) {
     return status.error();  // backend dtor tears down what came up
   }
-  backend->receiver_ = std::thread([b = backend.get()] { b->receive_loop(); });
   return backend;
 }
 
 UringBackend::UringBackend(int fd, Endpoint local, const Options& options)
-    : fd_(fd), local_(local), pin_cpu_(options.pin_cpu) {
+    : fd_(fd), local_(local) {
   auto& registry = metrics::resolve(options.metrics);
   stats_.register_in(registry, local_.to_string(), "uring", kTxSlots);
   // Same instrument names as the portable backend: the `backend` label
@@ -172,24 +175,27 @@ UringBackend::UringBackend(int fd, Endpoint local, const Options& options)
   rx_batch_size_ = registry.histogram("udp_rx_batch_size", ep);
   tx_batch_size_ = registry.histogram("udp_tx_batch_size", ep);
   tx_flush_us_ = registry.histogram("udp_tx_flush_us", ep);
+  recycle_bids_.reserve(kRxBufCount);
+  rx_batch_.reserve(kRxBufCount);
   tx_addrs_.resize(kTxSlots);
   tx_iovs_.resize(kTxSlots);
   tx_msgs_.resize(kTxSlots);
+  tx_pending_.reserve(kTxSlots);
+  tx_retry_.reserve(kTxSlots);
 }
 
-util::Status UringBackend::setup(const Options& options) {
-  (void)options;
-  // rx ring: at most one armed SQE, but CQ bursts of one CQE per
-  // datagram; tx ring: one SQE per datagram in a batch.
+util::Status UringBackend::setup() {
+  // rx ring: the armed receive, buffer re-provides and the wait's polls
+  // need a few SQEs, but CQ bursts of one CQE per datagram; tx ring: one
+  // SQE per datagram in a batch.
   DNSCUP_TRY(rx_ring_.init(8, 2 * kRxBufCount));
   DNSCUP_TRY(tx_ring_.init(kTxSlots, 2 * kTxSlots));
 
   // Provided-buffer group: one PROVIDE_BUFFERS op hands the kernel the
-  // whole pool-slot-sized slab (contiguous slots, bid == slot index);
-  // its inline completion tells us right here whether the kernel
-  // supports buffer groups at all.
+  // whole slab (contiguous slots, bid == slot index); its inline
+  // completion tells us right here whether the kernel supports buffer
+  // groups at all.
   rx_slab_.resize(kRxBufCount * kRxSlotBytes);
-  recycle_bids_.reserve(kRxBufCount);
   io_uring_sqe* sqe = rx_ring_.get_sqe();
   DNSCUP_ASSERT(sqe != nullptr);  // fresh ring, SQ is empty
   fill_provide_sqe(sqe, 0, kRxBufCount);
@@ -198,32 +204,81 @@ util::Status UringBackend::setup(const Options& options) {
          -EINTR) {
   }
   if (r < 0) return unsupported("PROVIDE_BUFFERS submit", -r);
-  {
-    const unsigned head = *rx_ring_.cq_head;
-    const unsigned tail = __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
-    for (unsigned i = head; i != tail; ++i) {
-      const io_uring_cqe& cqe = rx_ring_.cqes[i & rx_ring_.cq_mask];
-      if (cqe.user_data == kProvideUserData && cqe.res < 0) {
-        __atomic_store_n(rx_ring_.cq_head, tail, __ATOMIC_RELEASE);
-        return unsupported("IORING_OP_PROVIDE_BUFFERS", -cqe.res);
-      }
-    }
-    __atomic_store_n(rx_ring_.cq_head, tail, __ATOMIC_RELEASE);
-  }
-
-  // Arm the multishot receive; an unsupported combination (pre-6.0
-  // kernel) rejects it with an inline error CQE we can see right here.
-  arm_multishot();
   const unsigned head = *rx_ring_.cq_head;
   const unsigned tail = __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
   for (unsigned i = head; i != tail; ++i) {
     const io_uring_cqe& cqe = rx_ring_.cqes[i & rx_ring_.cq_mask];
-    if (cqe.user_data == kRecvUserData && cqe.res < 0) {
+    if (cqe.user_data == kProvideUserData && cqe.res < 0) {
       __atomic_store_n(rx_ring_.cq_head, tail, __ATOMIC_RELEASE);
-      return unsupported("multishot recvmsg", -cqe.res);
+      return unsupported("IORING_OP_PROVIDE_BUFFERS", -cqe.res);
     }
   }
-  return util::Status::ok_status();
+  __atomic_store_n(rx_ring_.cq_head, tail, __ATOMIC_RELEASE);
+  return probe_multishot();
+}
+
+util::Status UringBackend::probe_multishot() {
+  const int probe = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  if (probe < 0) return unsupported("probe socket", errno);
+  msghdr probe_msghdr{};
+  probe_msghdr.msg_namelen = kRxNameSpace;
+  probe_msghdr.msg_controllen = kRxControlSpace;
+  io_uring_sqe* sqe = rx_ring_.get_sqe();
+  DNSCUP_ASSERT(sqe != nullptr);
+  sqe->opcode = IORING_OP_RECVMSG;
+  sqe->fd = probe;
+  sqe->addr = reinterpret_cast<uint64_t>(&probe_msghdr);
+  sqe->len = 1;
+  sqe->ioprio = IORING_RECV_MULTISHOT;
+  sqe->flags = IOSQE_BUFFER_SELECT;
+  sqe->buf_group = kBufGroup;
+  sqe->user_data = kProbeUserData;
+  sqe = rx_ring_.get_sqe();
+  DNSCUP_ASSERT(sqe != nullptr);
+  sqe->opcode = IORING_OP_ASYNC_CANCEL;
+  sqe->fd = -1;
+  sqe->addr = kProbeUserData;
+  sqe->user_data = kCancelUserData;
+
+  // An unsupported combination (pre-6.0 kernel) fails the receive with
+  // an error CQE; a supported one ends with -ECANCELED.  Either way the
+  // receive's last CQE (no F_MORE) comes back on this thread.
+  util::Status status = util::Status::ok_status();
+  bool ended = false;
+  for (int round = 0; round < 10 && !ended; ++round) {
+    __kernel_timespec ts{};
+    ts.tv_nsec = kProbeWaitNs;
+    io_uring_getevents_arg arg{};
+    arg.ts = reinterpret_cast<uint64_t>(&ts);
+    rx_ring_.enter(rx_ring_.unsubmitted(), 1,
+                   IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
+                   sizeof arg);
+    unsigned head = *rx_ring_.cq_head;
+    const unsigned tail =
+        __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
+    for (; head != tail; ++head) {
+      const io_uring_cqe& cqe = rx_ring_.cqes[head & rx_ring_.cq_mask];
+      if (cqe.user_data != kProbeUserData) continue;
+      if ((cqe.flags & IORING_CQE_F_BUFFER) != 0) {
+        recycle_bids_.push_back(cqe.flags >> IORING_CQE_BUFFER_SHIFT);
+      }
+      if ((cqe.flags & IORING_CQE_F_MORE) == 0) {
+        ended = true;
+        if (cqe.res < 0 && cqe.res != -ECANCELED) {
+          status = unsupported("multishot recvmsg", -cqe.res);
+        }
+      }
+    }
+    __atomic_store_n(rx_ring_.cq_head, head, __ATOMIC_RELEASE);
+  }
+  ::close(probe);
+  if (!ended) {
+    return util::make_error(util::ErrorCode::kUnsupported,
+                            "multishot recvmsg probe never completed");
+  }
+  publish_rx_buffers();  // a stray datagram on the probe took a buffer
+  submit_rx();
+  return status;
 }
 
 void UringBackend::teardown() {
@@ -239,25 +294,26 @@ UringBackend::~UringBackend() {
   ::close(fd_);
 }
 
-void UringBackend::stop_receiving() {
-  stopping_.store(true);
-  if (receiver_.joinable()) receiver_.join();
-}
-
 TrafficStats UringBackend::stats() const { return stats_.snapshot(); }
 
-void UringBackend::set_receive_handler(ReceiveHandler handler) {
-  std::lock_guard lock(handler_mutex_);
-  handler_ = std::move(handler);
-}
-
-void UringBackend::set_batch_receive_handler(BatchReceiveHandler handler) {
-  std::lock_guard lock(handler_mutex_);
-  batch_handler_ = std::move(handler);
-}
-
 // ---------------------------------------------------------------------
-// Receive path.
+// Receive path (only the thread that calls receive() touches it).
+
+io_uring_sqe* UringBackend::rx_sqe() {
+  io_uring_sqe* sqe = rx_ring_.get_sqe();
+  if (sqe == nullptr) {
+    submit_rx();  // SQ full (it only holds 8): flush, then retry
+    sqe = rx_ring_.get_sqe();
+    DNSCUP_ASSERT(sqe != nullptr);
+  }
+  return sqe;
+}
+
+void UringBackend::submit_rx() {
+  while (rx_ring_.unsubmitted() > 0 &&
+         rx_ring_.enter(rx_ring_.unsubmitted(), 0, 0, nullptr, 0) == -EINTR) {
+  }
+}
 
 void UringBackend::arm_multishot() {
   rx_msghdr_ = msghdr{};
@@ -265,8 +321,7 @@ void UringBackend::arm_multishot() {
   // out recvmsg_out header + name + control + payload inside it.
   rx_msghdr_.msg_namelen = kRxNameSpace;
   rx_msghdr_.msg_controllen = kRxControlSpace;
-  io_uring_sqe* sqe = rx_ring_.get_sqe();
-  DNSCUP_ASSERT(sqe != nullptr);  // rx SQ holds 8, we arm one at a time
+  io_uring_sqe* sqe = rx_sqe();
   sqe->opcode = IORING_OP_RECVMSG;
   sqe->fd = fd_;
   sqe->addr = reinterpret_cast<uint64_t>(&rx_msghdr_);
@@ -275,8 +330,15 @@ void UringBackend::arm_multishot() {
   sqe->flags = IOSQE_BUFFER_SELECT;
   sqe->buf_group = kBufGroup;
   sqe->user_data = kRecvUserData;
-  while (rx_ring_.enter(1, 0, 0, nullptr, 0) == -EINTR) {
-  }
+  recv_armed_ = true;
+}
+
+void UringBackend::arm_poll(int fd, uint64_t user_data) {
+  io_uring_sqe* sqe = rx_sqe();
+  sqe->opcode = IORING_OP_POLL_ADD;
+  sqe->fd = fd;
+  sqe->poll32_events = POLLIN;
+  sqe->user_data = user_data;
 }
 
 void UringBackend::fill_provide_sqe(io_uring_sqe* sqe, unsigned first_bid,
@@ -291,16 +353,11 @@ void UringBackend::fill_provide_sqe(io_uring_sqe* sqe, unsigned first_bid,
   sqe->user_data = kProvideUserData;
 }
 
-void UringBackend::recycle_rx_buffer(unsigned bid) {
-  recycle_bids_.push_back(bid);
-}
-
 void UringBackend::publish_rx_buffers() {
   if (recycle_bids_.empty()) return;
   // Multishot hands buffers out in provide order, so a drained burst is
   // mostly consecutive bids: sort and collapse each run into one SQE.
   std::sort(recycle_bids_.begin(), recycle_bids_.end());
-  unsigned filled = 0;
   std::size_t i = 0;
   while (i < recycle_bids_.size()) {
     const unsigned first = recycle_bids_[i];
@@ -310,141 +367,143 @@ void UringBackend::publish_rx_buffers() {
       ++count;
     }
     i += count;
-    io_uring_sqe* sqe = rx_ring_.get_sqe();
-    if (sqe == nullptr) {
-      // SQ full (it only holds 8): flush what we queued, then retry.
-      while (rx_ring_.enter(filled, 0, 0, nullptr, 0) == -EINTR) {
-      }
-      filled = 0;
-      sqe = rx_ring_.get_sqe();
-      DNSCUP_ASSERT(sqe != nullptr);
-    }
+    io_uring_sqe* sqe = rx_sqe();
     fill_provide_sqe(sqe, first, count);
-    ++filled;
-  }
-  while (rx_ring_.enter(filled, 0, 0, nullptr, 0) == -EINTR) {
+    // Only a failure posts a CQE: a success CQE would end the next idle
+    // wait at once.  Every kernel that passed the multishot probe (6.0+)
+    // supports the flag (5.17+).
+    sqe->flags = IOSQE_CQE_SKIP_SUCCESS;
   }
   recycle_bids_.clear();
 }
 
-void UringBackend::receive_loop() {
-  pin_current_thread_to_cpu(pin_cpu_);
-  std::vector<RxPacket> batch;
-  std::vector<unsigned> consumed_bids;
-  batch.reserve(kRxBufCount);
-  consumed_bids.reserve(kRxBufCount);
-  while (!stopping_.load()) {
-    unsigned head = *rx_ring_.cq_head;
-    unsigned tail = __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
-    if (head == tail) {
-      // Bounded wait so shutdown is noticed: EXT_ARG carries a 50 ms
-      // timeout into the GETEVENTS sleep.
-      __kernel_timespec ts{};
-      ts.tv_nsec = kWaitTimeoutNs;
-      io_uring_getevents_arg arg{};
-      arg.ts = reinterpret_cast<uint64_t>(&ts);
-      const int r =
-          rx_ring_.enter(0, 1, IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
-                         &arg, sizeof arg);
-      if (r < 0 && r != -ETIME && r != -EINTR && r != -EAGAIN &&
-          r != -EBUSY) {
-        break;  // ring torn down under us: fatal
-      }
-      tail = __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
-      if (head == tail) continue;
-    }
-
-    batch.clear();
-    consumed_bids.clear();
-    bool rearm = false;
-    for (; head != tail; ++head) {
-      const io_uring_cqe& cqe = rx_ring_.cqes[head & rx_ring_.cq_mask];
-      if (cqe.user_data == kProvideUserData) {
-        if (cqe.res < 0) {
-          // Should not happen after setup validated the op; the slots in
-          // that run are gone until restart, so say so.
-          DNSCUP_LOG_WARN("uring PROVIDE_BUFFERS failed (%s): rx slots lost",
-                          std::strerror(-cqe.res));
-        }
-        continue;
-      }
-      if (cqe.user_data != kRecvUserData) continue;
-      if ((cqe.flags & IORING_CQE_F_MORE) == 0) rearm = true;
-      if (cqe.res < 0) continue;  // -ENOBUFS etc: rearm handles it
-      if ((cqe.flags & IORING_CQE_F_BUFFER) == 0) continue;
-      const unsigned bid = cqe.flags >> IORING_CQE_BUFFER_SHIFT;
-      consumed_bids.push_back(bid);
-      uint8_t* slot = rx_slab_.data() + std::size_t{bid} * kRxSlotBytes;
-      if (static_cast<std::size_t>(cqe.res) < sizeof(io_uring_recvmsg_out)) {
-        continue;
-      }
-      auto* out = reinterpret_cast<io_uring_recvmsg_out*>(slot);
-#ifdef SO_RXQ_OVFL
-      if (out->controllen > 0) {
-        // The control area sits between name space and payload; walk it
-        // with a scratch msghdr so CMSG_* macros apply.
-        msghdr scratch{};
-        scratch.msg_control = slot + sizeof(io_uring_recvmsg_out) +
-                              kRxNameSpace;
-        scratch.msg_controllen = out->controllen;
-        for (cmsghdr* cmsg = CMSG_FIRSTHDR(&scratch); cmsg != nullptr;
-             cmsg = CMSG_NXTHDR(&scratch, cmsg)) {
-          if (cmsg->cmsg_level == SOL_SOCKET &&
-              cmsg->cmsg_type == SO_RXQ_OVFL) {
-            uint32_t dropped = 0;
-            std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof dropped);
-            if (dropped > last_overflow_) {
-              rx_overflow_ += dropped - last_overflow_;
-            }
-            last_overflow_ = dropped;
-          }
-        }
-      }
-#endif
-      if ((out->flags & MSG_TRUNC) != 0) {
-        ++rx_truncated_;  // datagram larger than a 2 KiB slot: drop
-        continue;
-      }
-      const std::size_t stored =
-          static_cast<std::size_t>(cqe.res) - sizeof(io_uring_recvmsg_out) -
-          kRxNameSpace - kRxControlSpace;
-      const std::size_t len =
-          std::min<std::size_t>(out->payloadlen, stored);
-      sockaddr_in from{};
-      std::memcpy(&from, slot + sizeof(io_uring_recvmsg_out),
-                  std::min<std::size_t>(out->namelen, sizeof from));
-      ++stats_.packets_received;
-      stats_.bytes_received += len;
-      batch.push_back(RxPacket{
-          Endpoint{ntohl(from.sin_addr.s_addr), ntohs(from.sin_port)},
-          std::span<const uint8_t>(
-              slot + sizeof(io_uring_recvmsg_out) + kRxNameSpace +
-                  kRxControlSpace,
-              len)});
-    }
-    __atomic_store_n(rx_ring_.cq_head, head, __ATOMIC_RELEASE);
-
-    if (!batch.empty()) {
-      rx_batch_size_.add(static_cast<double>(batch.size()));
-      BatchReceiveHandler batch_handler;
-      ReceiveHandler handler;
-      {
-        std::lock_guard lock(handler_mutex_);
-        batch_handler = batch_handler_;
-        handler = handler_;
-      }
-      if (batch_handler) {
-        batch_handler(std::span<const RxPacket>(batch));
-      } else if (handler) {
-        for (const RxPacket& p : batch) handler(p.from, p.data);
-      }
-    }
-    // The handler has returned: every span is dead, so the buffers can
-    // go back to the kernel in one tail publish.
-    for (const unsigned bid : consumed_bids) recycle_rx_buffer(bid);
-    publish_rx_buffers();
-    if (rearm && !stopping_.load()) arm_multishot();
+std::size_t UringBackend::receive(std::size_t max,
+                                  const BatchReceiveHandler& handler,
+                                  const Wait* wait) {
+  if (!recv_armed_) arm_multishot();
+  const bool ready = *rx_ring_.cq_head !=
+                     __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
+  if (!ready && wait != nullptr) {
+    // The wait's io_uring_enter also submits what the last call queued
+    // (its buffer re-provides), so an idle socket costs one syscall.
+    wait_for_completion(*wait);
+  } else {
+    submit_rx();
   }
+  return reap(max, handler);
+}
+
+void UringBackend::wait_for_completion(const Wait& wait) {
+  if (wait.wake_fd >= 0 && !wake_armed_) {
+    arm_poll(wait.wake_fd, kWakeUserData);
+    wake_armed_ = true;
+  }
+  if (wait.also_fd >= 0 && !also_armed_) {
+    arm_poll(wait.also_fd, kAlsoUserData);
+    also_armed_ = true;
+  }
+  // One syscall submits the polls and sleeps; the kernel runs this
+  // thread's receive work while it waits.
+  __kernel_timespec ts{};
+  ts.tv_sec = wait.timeout / 1000000;
+  ts.tv_nsec = (wait.timeout % 1000000) * 1000;
+  io_uring_getevents_arg arg{};
+  arg.ts = reinterpret_cast<uint64_t>(&ts);
+  const int r = rx_ring_.enter(rx_ring_.unsubmitted(), 1,
+                               IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
+                               &arg, sizeof arg);
+  (void)r;  // -ETIME / -EINTR: the caller re-checks and comes back
+}
+
+std::size_t UringBackend::reap(std::size_t max,
+                               const BatchReceiveHandler& handler) {
+  unsigned head = *rx_ring_.cq_head;
+  const unsigned tail = __atomic_load_n(rx_ring_.cq_tail, __ATOMIC_ACQUIRE);
+  rx_batch_.clear();
+  for (; head != tail && rx_batch_.size() < max; ++head) {
+    const io_uring_cqe& cqe = rx_ring_.cqes[head & rx_ring_.cq_mask];
+    if (cqe.user_data == kWakeUserData) {
+      wake_armed_ = false;
+      continue;
+    }
+    if (cqe.user_data == kAlsoUserData) {
+      also_armed_ = false;
+      continue;
+    }
+    if (cqe.user_data == kProvideUserData) {
+      if (cqe.res < 0) {
+        // Should not happen after setup validated the op; the slots in
+        // that run are gone until restart, so say so.
+        DNSCUP_LOG_WARN("uring PROVIDE_BUFFERS failed (%s): rx slots lost",
+                        std::strerror(-cqe.res));
+      }
+      continue;
+    }
+    if (cqe.user_data != kRecvUserData) continue;
+    // -ENOBUFS and friends end the multishot: re-armed below.
+    if ((cqe.flags & IORING_CQE_F_MORE) == 0) recv_armed_ = false;
+    if (cqe.res < 0 || (cqe.flags & IORING_CQE_F_BUFFER) == 0) continue;
+    const unsigned bid = cqe.flags >> IORING_CQE_BUFFER_SHIFT;
+    recycle_bids_.push_back(bid);
+    uint8_t* slot = rx_slab_.data() + std::size_t{bid} * kRxSlotBytes;
+    if (static_cast<std::size_t>(cqe.res) < sizeof(io_uring_recvmsg_out)) {
+      continue;
+    }
+    auto* out = reinterpret_cast<io_uring_recvmsg_out*>(slot);
+#ifdef SO_RXQ_OVFL
+    if (out->controllen > 0) {
+      // The control area sits between name space and payload; walk it
+      // with a scratch msghdr so CMSG_* macros apply.
+      msghdr scratch{};
+      scratch.msg_control = slot + sizeof(io_uring_recvmsg_out) +
+                            kRxNameSpace;
+      scratch.msg_controllen = out->controllen;
+      for (cmsghdr* cmsg = CMSG_FIRSTHDR(&scratch); cmsg != nullptr;
+           cmsg = CMSG_NXTHDR(&scratch, cmsg)) {
+        if (cmsg->cmsg_level == SOL_SOCKET &&
+            cmsg->cmsg_type == SO_RXQ_OVFL) {
+          uint32_t dropped = 0;
+          std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof dropped);
+          if (dropped > last_overflow_) {
+            rx_overflow_ += dropped - last_overflow_;
+          }
+          last_overflow_ = dropped;
+        }
+      }
+    }
+#endif
+    if ((out->flags & MSG_TRUNC) != 0) {
+      ++rx_truncated_;  // datagram larger than a 2 KiB slot: drop
+      continue;
+    }
+    const std::size_t stored =
+        static_cast<std::size_t>(cqe.res) - sizeof(io_uring_recvmsg_out) -
+        kRxNameSpace - kRxControlSpace;
+    const std::size_t len = std::min<std::size_t>(out->payloadlen, stored);
+    sockaddr_in from{};
+    std::memcpy(&from, slot + sizeof(io_uring_recvmsg_out),
+                std::min<std::size_t>(out->namelen, sizeof from));
+    ++stats_.packets_received;
+    stats_.bytes_received += len;
+    rx_batch_.push_back(RxPacket{
+        Endpoint{ntohl(from.sin_addr.s_addr), ntohs(from.sin_port)},
+        std::span<const uint8_t>(slot + sizeof(io_uring_recvmsg_out) +
+                                     kRxNameSpace + kRxControlSpace,
+                                 len)});
+  }
+  __atomic_store_n(rx_ring_.cq_head, head, __ATOMIC_RELEASE);
+
+  if (!rx_batch_.empty()) {
+    rx_batch_size_.add(static_cast<double>(rx_batch_.size()));
+    handler(std::span<const RxPacket>(rx_batch_));
+  }
+  // The handler has returned: every span is dead, so the buffers can go
+  // back to the kernel (ahead of a re-arm, in SQ order).  They are
+  // submitted by the next receive(): its wait, or at once if datagrams
+  // are already waiting.
+  publish_rx_buffers();
+  if (!recv_armed_) arm_multishot();
+  return rx_batch_.size();
 }
 
 // ---------------------------------------------------------------------
@@ -480,9 +539,10 @@ std::size_t UringBackend::submit_tx_batch(std::span<const TxPacket> packets) {
   std::size_t accepted = 0;
   // Indices still to (re)offer; starts as the whole batch, shrinks to
   // the EAGAIN stragglers on each retry round.
-  std::vector<std::size_t> pending(n);
-  for (std::size_t i = 0; i < n; ++i) pending[i] = i;
-  std::vector<std::size_t> retry;
+  std::vector<std::size_t>& pending = tx_pending_;
+  std::vector<std::size_t>& retry = tx_retry_;
+  pending.clear();
+  for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
   int eagain_budget = kMaxEagainRetries;
 
   while (!pending.empty()) {
@@ -581,7 +641,6 @@ util::Status uring_runtime_probe() {
   options.metrics = &scratch;
   auto bound = UringBackend::bind(options);
   if (!bound.ok()) return bound.error();
-  bound.value()->stop_receiving();
   return util::Status::ok_status();
 }
 

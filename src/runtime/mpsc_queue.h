@@ -5,46 +5,79 @@
 // Producers choose their overload behaviour per call site:
 //   push()      blocks until space frees up — backpressure for producers
 //               that must not lose items (journal ops, control commands);
-//   try_push()  fails fast — for producers that must never block (the UDP
-//               receiver thread drops the datagram and counts it, exactly
-//               like a full kernel socket queue).
+//   try_push()  fails fast — for producers that must never block (the
+//               push plane's I/O thread, the workers' planner
+//               observations), which drop the item and count it.
 // The single consumer drains with drain(), which swaps the whole batch
 // out under one lock acquisition.
 #pragma once
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <ctime>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <utility>
 
+#include "util/assert.h"
+
 namespace dnscup::runtime {
 
-/// Latched wakeup flag: wake() from any thread, wait_for() on the
-/// consumer.  The latch closes the race between "queues look empty" and
-/// "producer pushed right after" — a wake arriving before the wait still
-/// terminates it immediately.
+/// Latched wakeup over an eventfd: wake() from any thread, wait_for() on
+/// the consumer.  A serving worker instead hands fd() to its I/O
+/// backend, whose receive wait watches the socket and this fd together,
+/// and calls clear() after such a wait.  The latch closes the race
+/// between "queues look empty" and "producer pushed right after" (a wake
+/// arriving before the wait still ends it at once) and coalesces a burst
+/// of wakes into one eventfd write per consumer wait.
 class WakeSignal {
  public:
+  WakeSignal() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    DNSCUP_ASSERT(fd_ >= 0);
+  }
+  ~WakeSignal() { ::close(fd_); }
+
+  WakeSignal(const WakeSignal&) = delete;
+  WakeSignal& operator=(const WakeSignal&) = delete;
+
   void wake() {
-    {
-      std::lock_guard lock(mutex_);
-      pending_ = true;
-    }
-    cv_.notify_one();
+    if (pending_.exchange(true, std::memory_order_acq_rel)) return;
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
   }
 
   template <typename Rep, typename Period>
   void wait_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mutex_);
-    cv_.wait_for(lock, timeout, [this] { return pending_; });
-    pending_ = false;
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
+    const timespec ts{static_cast<time_t>(ns / 1000000000),
+                      static_cast<long>(ns % 1000000000)};
+    pollfd p{fd_, POLLIN, 0};
+    ::ppoll(&p, 1, &ts, nullptr);
+    clear();
   }
 
+  /// Consumes a delivered wake, re-arming the latch.  Call after every
+  /// wait that watched fd(); the caller re-checks its queues afterwards.
+  void clear() {
+    uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
+    pending_.store(false, std::memory_order_release);
+  }
+
+  /// Readable while a wake is pending.
+  int fd() const { return fd_; }
+
  private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool pending_ = false;
+  const int fd_;
+  std::atomic<bool> pending_{false};
 };
 
 template <typename T>

@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cstring>
 #include <future>
 #include <utility>
 
@@ -15,12 +14,16 @@ namespace {
 /// Total track-file bound, split across shards, without the planner
 /// (with it, the demand table's capacity bounds the planned pairs).
 constexpr std::size_t kLeaseBound = 100000;
+/// Longest an idle worker sleeps before it advances its event loop.
+constexpr net::Duration kIdleWait = net::milliseconds(2);
+/// Batches a worker still serves from its socket after stop(), so a
+/// flood cannot hold the drain open forever.
+constexpr int kDrainBatches = 128;
 
 }  // namespace
 
 ServingRuntime::Worker::Worker(const Config& config)
-    : pool(config.inbox_capacity),
-      commands(config.command_capacity, &wake) {}
+    : commands(config.command_capacity, &wake) {}
 
 ServingRuntime::ServingRuntime(Config config) : config_(std::move(config)) {
   if (config_.workers < 1) config_.workers = 1;
@@ -55,7 +58,6 @@ util::Status ServingRuntime::bind_sockets() {
     options.rcvbuf_bytes = config_.rcvbuf_bytes;
     options.sndbuf_bytes = config_.sndbuf_bytes;
     options.metrics = &worker.registry;
-    options.pin_cpu = pin_cpu_for(worker.index);
     return options;
   };
 
@@ -184,10 +186,6 @@ util::Result<std::unique_ptr<ServingRuntime>> ServingRuntime::start(
   for (int i = 0; i < n; ++i) {
     Worker& worker = *runtime->workers_[i];
     worker.shim.io = worker.io.get();
-    worker.inbox_dropped = worker.registry.counter(
-        "runtime_inbox_dropped", {{"worker", std::to_string(i)}});
-    worker.oversize_dropped = worker.registry.counter(
-        "runtime_oversize_dropped", {{"worker", std::to_string(i)}});
     worker.server = std::make_unique<server::AuthServer>(
         worker.shim, worker.loop, server::AuthServer::Role::kMaster,
         &worker.registry);
@@ -234,36 +232,14 @@ util::Result<std::unique_ptr<ServingRuntime>> ServingRuntime::start(
     }
   }
 
-  // Go live: journal thread, worker threads, then socket intake.
+  // Go live: journal thread, then the workers, each of which arms its
+  // socket's receive on its own thread.
   if (runtime->writer_ != nullptr) runtime->writer_->start();
   runtime->running_.store(true);
   for (int i = 0; i < n; ++i) {
     Worker& worker = *runtime->workers_[i];
     worker.thread =
         std::thread([rt = runtime.get(), &worker] { rt->worker_loop(worker); });
-    // The receiver thread copies each datagram of a kernel burst into a
-    // pool slot — the only copy on the receive path, into memory that is
-    // never reallocated — and wakes the worker once per burst.
-    worker.io->set_batch_receive_handler(
-        [&worker](std::span<const net::RxPacket> batch) {
-          for (const auto& packet : batch) {
-            if (packet.data.size() > BufferPool::kSlotBytes) {
-              worker.oversize_dropped.inc();
-              continue;
-            }
-            BufferPool::Slot* slot = worker.pool.acquire();
-            if (slot == nullptr) {
-              worker.inbox_dropped.inc();  // worker behind; shed load
-              continue;
-            }
-            slot->from = packet.from;
-            slot->len = static_cast<uint32_t>(packet.data.size());
-            std::memcpy(slot->bytes.data(), packet.data.data(),
-                        packet.data.size());
-            worker.pool.commit(slot);
-          }
-          worker.wake.wake();
-        });
   }
 
   // Warm-restart lease re-adoption: v2 SUBSCRIBEs announce surviving
@@ -309,28 +285,30 @@ util::Result<std::unique_ptr<ServingRuntime>> ServingRuntime::start(
 }
 
 void ServingRuntime::worker_loop(Worker& worker) {
-  // Same CPU as the socket's receiver thread: the pool handoff stays on
-  // one cache domain when pinning is configured.
   net::pin_current_thread_to_cpu(pin_cpu_for(worker.index));
   const std::size_t batch_size = config_.batch_size;
   std::deque<std::function<void()>> commands;
-  // Steady state: serve one batch of pooled datagrams — responses
-  // accumulate in the shim's tx arena — then flush them as a single
-  // sendmmsg.  No allocation anywhere on this path once warm.
+  // Steady state: receive one batch straight from the socket and serve
+  // it — responses accumulate in the shim's tx arena — then flush them as
+  // a single send batch.  No allocation anywhere on this path once warm.
   worker.shim.batching = true;
+  const net::IoBackend::BatchReceiveHandler serve =
+      [&worker](std::span<const net::RxPacket> batch) {
+        if (!worker.shim.handler) return;
+        for (const net::RxPacket& packet : batch) {
+          worker.shim.handler(packet.from, packet.data);
+        }
+      };
+  const net::IoBackend::Wait idle{worker.wake.fd(), -1, kIdleWait};
+  int drain_batches = kDrainBatches;
   for (;;) {
-    std::size_t served = 0;
-    BufferPool::Slot* slot = nullptr;
-    while (served < batch_size &&
-           (slot = worker.pool.take_filled()) != nullptr) {
-      if (worker.shim.handler) {
-        worker.shim.handler(
-            slot->from,
-            std::span<const uint8_t>(slot->bytes.data(), slot->len));
-      }
-      worker.pool.release(slot);
-      ++served;
-    }
+    const bool stopping = worker.stop.load(std::memory_order_acquire);
+    // Sleep only when no command is queued: the receive then waits on
+    // the socket and the wake eventfd together.
+    const bool may_wait = !stopping && worker.commands.empty();
+    const std::size_t served =
+        worker.io->receive(batch_size, serve, may_wait ? &idle : nullptr);
+    if (may_wait && served == 0) worker.wake.clear();
     worker.shim.flush();
     worker.commands.drain(commands);
     for (auto& command : commands) command();
@@ -340,12 +318,10 @@ void ServingRuntime::worker_loop(Worker& worker) {
     // Command- and timer-driven sends (CACHE-UPDATE fan-out on a zone
     // reload, retransmissions) batch within their iteration too.
     worker.shim.flush();
-    if (worker.stop.load(std::memory_order_acquire)) {
-      if (!worker.pool.has_filled() && worker.commands.empty()) break;
-      continue;  // drain what arrived before intake stopped
-    }
-    if (!worker.pool.has_filled() && worker.commands.empty()) {
-      worker.wake.wait_for(std::chrono::milliseconds(2));
+    // After stop(): answer what is still queued on the socket, then exit.
+    if (stopping && ((served == 0 && worker.commands.empty()) ||
+                     --drain_batches == 0)) {
+      break;
     }
   }
   // Shutdown drain: one final UDP copy of every CACHE-UPDATE still in
@@ -359,15 +335,13 @@ void ServingRuntime::worker_loop(Worker& worker) {
 
 void ServingRuntime::stop() {
   if (!running_.exchange(false)) return;
-  // 1. Stop intake: join the socket receiver threads.  The sockets stay
-  //    open, so queued queries drained below can still be answered.
-  for (auto& worker : workers_) worker->io->stop_receiving();
-  // 2. Stop the push plane: flushes its write queues (bounded) and
+  // 1. Stop the push plane: flushes its write queues (bounded) and
   //    resolves everything still owed as kFailed — the workers are still
   //    running, so those fall back to UDP and are then covered by each
   //    worker's notifier flush on exit.
   if (push_ != nullptr) push_->stop();
-  // 3. Drain and join the workers.
+  // 2. Drain and join the workers: each answers what is queued on its
+  //    socket (the socket stays open for post-stop sends), then exits.
   for (auto& worker : workers_) {
     worker->stop.store(true, std::memory_order_release);
     worker->wake.wake();
@@ -375,11 +349,11 @@ void ServingRuntime::stop() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  // 4. Stop the planner after the workers have joined: no observe() or
+  // 3. Stop the planner after the workers have joined: no observe() or
   //    assignment() call can race the planner's teardown, and its final
   //    drain absorbs everything the workers enqueued.
   if (planner_ != nullptr) planner_->stop();
-  // 5. Flush the journal: every op the workers enqueued lands in the WAL,
+  // 4. Flush the journal: every op the workers enqueued lands in the WAL,
   //    then a final compacting snapshot.
   if (writer_ != nullptr) writer_->stop();
 }

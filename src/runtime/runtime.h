@@ -12,18 +12,22 @@
 //   * a DnscupAuthority shard: the worker's slice of the track file, its
 //     own grant policy and CACHE-UPDATE retransmission state.
 //
+// Each worker runs to completion on its own thread: it pulls a batch of
+// datagrams straight from its socket (IoBackend::receive), serves them,
+// sends the responses as one batch and, when nothing is ready, sleeps in
+// the backend's single kernel wait on the socket and its wake eventfd.
+// No datagram crosses a thread; the kernel socket queue is the only
+// inbox, and its drops are counted in udp_rx_overflow.
+//
 // The query hot path — receive, grant lease, answer, push updates — takes
 // zero locks: every touched structure is worker-private, and the only
 // shared cells are relaxed-atomic metrics.  Everything cross-shard flows
-// over bounded MPSC queues:
+// over bounded MPSC queues whose pushes wake the worker's eventfd:
 //
-//   * datagrams: the socket's receiver thread enqueues into the worker's
-//     inbox (try_push; overflow is dropped and counted, mirroring kernel
-//     socket-queue behaviour),
 //   * control commands (zone reload, metrics scrape, lease collection,
-//     graceful drain): closures with completion futures,
+//     push-plane resolutions): closures with completion futures,
 //   * durability: lease ops stream to the single JournalWriter thread
-//     that owns the PR-2 LeaseStore (see journal_writer.h).
+//     that owns the durable LeaseStore (see journal_writer.h).
 //
 // Zone distribution is snapshot-based: reload_zone() materializes one
 // shared_ptr<const Zone> and hands it to every worker; each worker diffs
@@ -50,7 +54,6 @@
 #include "net/io_backend.h"
 #include "planner/lease_planner.h"
 #include "push/push_server.h"
-#include "runtime/buffer_pool.h"
 #include "runtime/journal_writer.h"
 #include "runtime/mpsc_queue.h"
 #include "runtime/shim_transport.h"
@@ -77,9 +80,8 @@ struct Config {
   /// warning) when the kernel lacks what the uring backend needs.
   net::IoBackendKind io_backend = net::IoBackendKind::kDefault;
 
-  /// Worker CPU affinity: worker i (its loop thread and its socket's
-  /// receiver thread) is pinned to pin_cpus[i % size].  Empty = no
-  /// pinning.
+  /// Worker CPU affinity: worker i's thread is pinned to
+  /// pin_cpus[i % size].  Empty = no pinning.
   std::vector<int> pin_cpus;
 
   bool dnscup = true;
@@ -113,15 +115,12 @@ struct Config {
   uint16_t push_port = 0;
   push::PushServer::Config push;
 
-  /// Fixed datagram slots per worker's BufferPool, shared between the
-  /// socket's receiver thread and the worker thread; when every slot is
-  /// in flight new datagrams drop (counted as runtime_inbox_dropped).
-  std::size_t inbox_capacity = 4096;
   std::size_t command_capacity = 256;
 
-  /// Datagrams a worker serves per event-loop iteration before flushing
-  /// all buffered responses as one sendmmsg batch.  Higher values
-  /// amortise syscalls under load at the cost of per-query latency.
+  /// Datagrams a worker receives and serves per event-loop iteration
+  /// before flushing all buffered responses as one send batch.  Higher
+  /// values amortise syscalls under load at the cost of per-query
+  /// latency.
   std::size_t batch_size = 32;
 };
 
@@ -148,8 +147,9 @@ class ServingRuntime {
   ServingRuntime(const ServingRuntime&) = delete;
   ServingRuntime& operator=(const ServingRuntime&) = delete;
 
-  /// Graceful drain: stops socket intake, lets every worker answer what
-  /// is already queued, flushes the journal and writes a final snapshot.
+  /// Graceful drain: every worker answers what is already queued on its
+  /// socket (bounded), then exits; flushes the journal and writes a
+  /// final snapshot.
   /// Idempotent.  Unacked CACHE-UPDATE retransmissions are abandoned
   /// (their leases stay durable and recover on the next start).
   void stop();
@@ -214,14 +214,11 @@ class ServingRuntime {
     metrics::MetricsRegistry registry;
     net::EventLoop loop{&registry};
     WakeSignal wake;
-    BufferPool pool;
     BoundedMpscQueue<std::function<void()>> commands;
     ShimTransport shim;
     std::unique_ptr<net::IoBackend> io;
     std::unique_ptr<server::AuthServer> server;
     std::unique_ptr<core::DnscupAuthority> dnscup;
-    metrics::Counter inbox_dropped;     ///< pool exhausted, datagram dropped
-    metrics::Counter oversize_dropped;  ///< datagram larger than a pool slot
     std::atomic<bool> stop{false};
     std::thread thread;
   };

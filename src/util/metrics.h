@@ -5,8 +5,8 @@
 //
 //  * hot-path increments are relaxed atomic bumps behind an inline handle —
 //    no locks: Counter and Gauge cells are lock-free atomics so the sharded
-//    runtime's worker threads and the UDP receiver threads can bump (and a
-//    scraper can read) the same cell without a data race.  Histograms stay
+//    runtime's worker threads and the push and control threads can bump
+//    (and a scraper can read) the same cell without a data race.  Histograms stay
 //    single-threaded by design (multi-threaded components snapshot them on
 //    their owning thread and merge the snapshots);
 //  * instruments are *registry-owned cells*; handles (Counter, Gauge,
@@ -61,8 +61,9 @@ namespace detail {
 
 // Counter/Gauge cells are relaxed atomics: increments never synchronize
 // anything (they are pure telemetry), they only need to be free of data
-// races when a transport receiver thread and a worker thread touch the
-// same registry.
+// races when a worker thread and another thread (a transport's
+// receive-handler thread, the push plane, a scraper) touch the same
+// registry.
 struct CounterCell {
   std::atomic<uint64_t> value{0};
 };

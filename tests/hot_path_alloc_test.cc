@@ -7,6 +7,9 @@
 //    steady-state serve path — datagram in, response out, rate recorded —
 //    performs zero heap allocations.  tools/check.sh --bench-smoke runs
 //    this binary as the zero-allocation gate.
+// 3. The same through each real I/O backend: a serving worker's warm
+//    receive -> serve -> send_batch round over loopback sockets allocates
+//    nothing either.
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -22,7 +25,9 @@
 #include "dns/name.h"
 #include "net/endpoint.h"
 #include "net/event_loop.h"
+#include "net/io_backend.h"
 #include "net/transport.h"
+#include "runtime/shim_transport.h"
 #include "server/authoritative.h"
 
 namespace {
@@ -252,6 +257,73 @@ TEST_F(HotPathTest, SteadyStateWithDnscupHooksIsAllocationFree) {
   EXPECT_EQ(transport_.sends(), sends_before + 1000);
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "steady-state DNScup serve path allocated";
+}
+
+/// One worker-loop round per query through real sockets: the client
+/// backend sends, the server backend's receive() hands the datagram to
+/// the AuthServer over a batching ShimTransport, flush() sends the
+/// answer as a batch, and the client's receive() takes it.
+void backend_round_trip_allocates_nothing(net::IoBackendKind kind) {
+  metrics::MetricsRegistry registry;
+  net::IoBackend::Options options;
+  options.metrics = &registry;
+  auto server_io = net::bind_io_backend(kind, options);
+  ASSERT_TRUE(server_io.ok()) << server_io.error().to_string();
+  auto client_io = net::bind_io_backend(kind, options);
+  ASSERT_TRUE(client_io.ok()) << client_io.error().to_string();
+  ASSERT_EQ(server_io.value()->backend_name(), net::to_string(kind));
+
+  net::EventLoop loop(&registry);
+  runtime::ShimTransport shim;
+  shim.io = server_io.value().get();
+  shim.batching = true;
+  AuthServer server(shim, loop, AuthServer::Role::kMaster, &registry);
+  server.add_zone(test_zone());
+
+  const net::IoBackend::BatchReceiveHandler serve =
+      [&shim](std::span<const net::RxPacket> batch) {
+        for (const net::RxPacket& packet : batch) {
+          shim.handler(packet.from, packet.data);
+        }
+      };
+  uint64_t answers = 0;
+  const net::IoBackend::BatchReceiveHandler collect =
+      [&answers](std::span<const net::RxPacket> batch) {
+        answers += batch.size();
+      };
+  const net::IoBackend::Wait wait{-1, -1, net::seconds(1)};
+  const auto wire = query_wire("www.example.com", RRType::kA);
+  const net::TxPacket query{server_io.value()->local_endpoint(), wire};
+  auto round = [&] {
+    client_io.value()->send_batch(std::span<const net::TxPacket>(&query, 1));
+    for (int tries = 0; tries < 5; ++tries) {
+      if (server_io.value()->receive(32, serve, &wait) > 0) break;
+    }
+    shim.flush();
+    for (int tries = 0; tries < 5; ++tries) {
+      if (client_io.value()->receive(32, collect, &wait) > 0) break;
+    }
+  };
+  // Warm the arenas, the backends' receive state and the rings.
+  for (int i = 0; i < 64; ++i) round();
+  const uint64_t answers_before = answers;
+  const uint64_t allocs_before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) round();
+  const uint64_t allocs_after = g_allocs.load();
+  EXPECT_EQ(answers, answers_before + 1000);
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << net::to_string(kind) << " receive/serve/send_batch round allocated";
+}
+
+TEST(BackendRoundTrip, PortableIsAllocationFree) {
+  backend_round_trip_allocates_nothing(net::IoBackendKind::kPortable);
+}
+
+TEST(BackendRoundTrip, UringIsAllocationFree) {
+  if (!net::uring_compiled() || !net::uring_runtime_probe().ok()) {
+    GTEST_SKIP() << "io_uring backend unavailable on this kernel";
+  }
+  backend_round_trip_allocates_nothing(net::IoBackendKind::kUring);
 }
 
 }  // namespace

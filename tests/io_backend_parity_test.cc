@@ -8,9 +8,16 @@
 // old kernels while exercising both backends where it can.
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,6 +26,7 @@
 #include "dns/zone_text.h"
 #include "net/io_backend.h"
 #include "net/udp_transport.h"
+#include "runtime/mpsc_queue.h"
 #include "runtime/runtime.h"
 
 namespace dnscup {
@@ -143,32 +151,41 @@ void roundtrip_scenario(net::IoBackendKind kind) {
   auto client = net::bind_io_backend(kind, options);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
-  // The server echoes each datagram back with the first byte flipped,
-  // through the batched tx path.
+  // The server pulls on its own thread, as a serving worker does, and
+  // echoes each datagram back with the first byte flipped through the
+  // batched tx path.
   net::IoBackend* server_io = server.value().get();
-  server_io->set_batch_receive_handler(
-      [server_io](std::span<const net::RxPacket> batch) {
-        std::vector<std::vector<uint8_t>> copies;
-        copies.reserve(batch.size());  // spans into copies must stay valid
-        std::vector<net::TxPacket> replies;
-        for (const auto& packet : batch) {
-          std::vector<uint8_t> bytes(packet.data.begin(), packet.data.end());
-          bytes[0] ^= 0xFF;
-          copies.push_back(std::move(bytes));
-          replies.push_back(net::TxPacket{packet.from, copies.back()});
-        }
-        server_io->send_batch(replies);
-      });
+  std::atomic<bool> serving{true};
+  std::thread server_thread([server_io, &serving] {
+    std::vector<std::vector<uint8_t>> copies;
+    std::vector<net::TxPacket> replies;
+    const net::IoBackend::BatchReceiveHandler echo =
+        [&](std::span<const net::RxPacket> batch) {
+          copies.clear();
+          copies.reserve(batch.size());  // spans into copies stay valid
+          replies.clear();
+          for (const auto& packet : batch) {
+            std::vector<uint8_t> bytes(packet.data.begin(),
+                                       packet.data.end());
+            bytes[0] ^= 0xFF;
+            copies.push_back(std::move(bytes));
+            replies.push_back(net::TxPacket{packet.from, copies.back()});
+          }
+          server_io->send_batch(replies);
+        };
+    const net::IoBackend::Wait wait{-1, -1, net::milliseconds(5)};
+    while (serving.load()) {
+      server_io->receive(server_io->batch_slots(), echo, &wait);
+    }
+  });
 
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<std::vector<uint8_t>> echoed;
-  client.value()->set_batch_receive_handler(
-      [&](std::span<const net::RxPacket> batch) {
+  client.value()->set_receive_handler(
+      [&](const net::Endpoint&, std::span<const uint8_t> data) {
         std::lock_guard lock(mutex);
-        for (const auto& packet : batch) {
-          echoed.emplace_back(packet.data.begin(), packet.data.end());
-        }
+        echoed.emplace_back(data.begin(), data.end());
         cv.notify_all();
       });
 
@@ -182,14 +199,15 @@ void roundtrip_scenario(net::IoBackendKind kind) {
   const bool all = cv.wait_for(lock, std::chrono::seconds(5), [&] {
     return echoed.size() >= kPackets;
   });
-  ASSERT_TRUE(all) << "echoed " << echoed.size() << "/" << kPackets;
+  EXPECT_TRUE(all) << "echoed " << echoed.size() << "/" << kPackets;
   for (const auto& bytes : echoed) {
     ASSERT_EQ(bytes.size(), 64u);
     EXPECT_EQ(bytes[0], static_cast<uint8_t>(bytes[1] ^ 0xFF));
   }
   lock.unlock();
   client.value()->stop_receiving();
-  server_io->stop_receiving();
+  serving.store(false);
+  server_thread.join();
 }
 
 TEST(IoBackendBasics, PortableRoundtrip) {
@@ -199,6 +217,70 @@ TEST(IoBackendBasics, PortableRoundtrip) {
 TEST(IoBackendBasics, UringRoundtrip) {
   SKIP_WITHOUT_URING();
   roundtrip_scenario(net::IoBackendKind::kUring);
+}
+
+// The pull contract: receive() hands at most `max` datagrams per call
+// and keeps the rest queued; with nothing ready it sleeps until the wake
+// fd fires, long before its timeout.
+void pull_contract_scenario(net::IoBackendKind kind) {
+  net::IoBackend::Options options;
+  auto io = net::bind_io_backend(kind, options);
+  ASSERT_TRUE(io.ok()) << io.error().to_string();
+  auto sender = net::UdpTransport::bind(0);
+  ASSERT_TRUE(sender.ok());
+  const std::vector<uint8_t> payload(32, 0xCD);
+  constexpr std::size_t kSent = 10;
+  for (std::size_t i = 0; i < kSent; ++i) {
+    sender.value()->send(io.value()->local_endpoint(), payload);
+  }
+
+  std::size_t largest = 0;
+  std::size_t received = 0;
+  const net::IoBackend::BatchReceiveHandler count =
+      [&](std::span<const net::RxPacket> batch) {
+        largest = std::max(largest, batch.size());
+        for (const auto& packet : batch) {
+          EXPECT_EQ(packet.data.size(), payload.size());
+          ++received;
+        }
+      };
+  const net::IoBackend::Wait wait{-1, -1, net::milliseconds(100)};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (received < kSent && std::chrono::steady_clock::now() < deadline) {
+    EXPECT_LE(io.value()->receive(3, count, &wait), 3u);
+  }
+  EXPECT_EQ(received, kSent);
+  EXPECT_LE(largest, 3u);
+
+  // Nothing queued: the wait lasts its timeout (recycling the buffers
+  // just served must not end it) ...
+  const net::IoBackend::Wait idle{-1, -1, net::milliseconds(50)};
+  const auto idle_start = std::chrono::steady_clock::now();
+  EXPECT_EQ(io.value()->receive(8, count, &idle), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - idle_start,
+            std::chrono::milliseconds(40));
+
+  // ... unless a wake from another thread ends it early.
+  runtime::WakeSignal wake;
+  const net::IoBackend::Wait long_wait{wake.fd(), -1, net::seconds(10)};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread waker([&wake] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    wake.wake();
+  });
+  EXPECT_EQ(io.value()->receive(8, count, &long_wait), 0u);
+  waker.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(IoBackendBasics, PortablePullReceiveHonoursMaxAndWake) {
+  pull_contract_scenario(net::IoBackendKind::kPortable);
+}
+
+TEST(IoBackendBasics, UringPullReceiveHonoursMaxAndWake) {
+  SKIP_WITHOUT_URING();
+  pull_contract_scenario(net::IoBackendKind::kUring);
 }
 
 // Repeated bind / serve / stop / destroy cycles: no slot, ring or fd
@@ -211,9 +293,9 @@ void stop_restart_scenario(net::IoBackendKind kind) {
     auto io = net::bind_io_backend(kind, options);
     ASSERT_TRUE(io.ok()) << "cycle " << cycle;
     std::atomic<int> received{0};
-    io.value()->set_batch_receive_handler(
-        [&](std::span<const net::RxPacket> batch) {
-          received.fetch_add(static_cast<int>(batch.size()));
+    io.value()->set_receive_handler(
+        [&](const net::Endpoint&, std::span<const uint8_t>) {
+          received.fetch_add(1);
         });
     auto sender = net::UdpTransport::bind(0);
     ASSERT_TRUE(sender.ok());
@@ -229,7 +311,6 @@ void stop_restart_scenario(net::IoBackendKind kind) {
     }
     EXPECT_EQ(received.load(), 10) << "cycle " << cycle;
     io.value()->stop_receiving();
-    sender.value()->stop_receiving();
     // Destructors run here; the next cycle starts from scratch.
   }
 }
@@ -412,6 +493,128 @@ TEST(IoBackendParity, PortablePushFlowBaseline) {
   EXPECT_GE(trace.cache_updates_applied, 1u);
   EXPECT_GE(trace.cache_acks_sent, 1u);
   EXPECT_EQ(trace.cache_live_leases, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Run-to-completion workers: the kernel runs a ring's receive work on the
+// thread that armed the receive, so every datagram's work must land on a
+// serving worker — never on the thread that started the runtimes — and
+// the runtimes start no thread besides their workers.
+
+/// voluntary_ctxt_switches of thread `tid` of this process.
+uint64_t voluntary_switches(long tid) {
+  std::ifstream status("/proc/self/task/" + std::to_string(tid) + "/status");
+  const std::string key = "voluntary_ctxt_switches:";
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(key, 0) == 0) return std::stoull(line.substr(key.size()));
+  }
+  ADD_FAILURE() << "no " << key << " for thread " << tid;
+  return 0;
+}
+
+/// Threads of this process, not counting the kernel's io_uring workers
+/// (comm "iou-..."), which serve the rings rather than run our code.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind("iou-", 0) != 0) ++count;
+  }
+  return count;
+}
+
+TEST(RunToCompletion, UringReceiveWorkStaysOnWorkerThreads) {
+  SKIP_WITHOUT_URING();
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  long helper_tid = 0;
+  std::size_t threads_before = 0;
+  std::size_t threads_after = 0;
+  std::unique_ptr<runtime::ServingRuntime> authority;
+  std::unique_ptr<cachert::CacheRuntime> cache;
+
+  // The helper binds and starts both runtimes, then parks for the rest
+  // of the test, as a daemon's main thread does.
+  std::thread helper([&] {
+    const std::size_t before = thread_count();
+    runtime::Config auth_config;
+    auth_config.port = 0;
+    auth_config.workers = 1;
+    auth_config.io_backend = net::IoBackendKind::kUring;
+    auto auth = runtime::ServingRuntime::start(
+        auth_config, {zone_with("10.1.0.10", 1, 300)});
+    std::unique_ptr<cachert::CacheRuntime> started_cache;
+    if (auth.ok()) {
+      cachert::Config cache_config;
+      cache_config.port = 0;
+      cache_config.workers = 1;
+      cache_config.io_backend = net::IoBackendKind::kUring;
+      cache_config.upstreams = {auth.value()->endpoints()[0]};
+      auto c = cachert::CacheRuntime::start(cache_config);
+      if (c.ok()) started_cache = std::move(c).value();
+    }
+    const std::size_t after = thread_count();
+    std::unique_lock lock(mutex);
+    if (auth.ok()) authority = std::move(auth).value();
+    cache = std::move(started_cache);
+    threads_before = before;
+    threads_after = after;
+    helper_tid = ::syscall(SYS_gettid);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+  auto finish = [&] {
+    {
+      std::lock_guard lock(mutex);
+      release = true;
+    }
+    cv.notify_all();
+    helper.join();
+  };
+  if (authority == nullptr || cache == nullptr) {
+    finish();
+    FAIL() << "runtimes failed to start";
+  }
+  EXPECT_EQ(authority->io_backend_name(), "uring");
+  EXPECT_EQ(cache->io_backend_name(), "uring");
+  // One authority worker and one cache worker; no receiver threads.
+  EXPECT_EQ(threads_after - threads_before, 2u);
+
+  RawClient client;
+  const net::Endpoint auth_ep = authority->endpoints()[0];
+  const net::Endpoint cache_ep = cache->endpoints()[0];
+  const uint64_t switches_before = voluntary_switches(helper_tid);
+  constexpr int kQueries = 2000;
+  int answered = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    // Alternate the authority and the cache; every cache query names a
+    // fresh (nonexistent) name, so it also goes upstream.
+    const std::string name = "q" + std::to_string(i) + ".example.com";
+    const auto id = static_cast<uint16_t>(i + 1);
+    const auto response =
+        client.exchange(i % 2 == 0 ? auth_ep : cache_ep,
+                        encode_query(id, name.c_str(), false));
+    if (!response.empty()) ++answered;
+  }
+  const uint64_t switches_after = voluntary_switches(helper_tid);
+  EXPECT_EQ(answered, kQueries);
+  EXPECT_LT(switches_after - switches_before, 50u)
+      << "the starting thread was woken for datagram receive work";
+
+  finish();
+  cache->stop();
+  authority->stop();
 }
 
 }  // namespace

@@ -60,6 +60,95 @@ TEST(ServingFlagsTest, ParsesCoreServingFlags) {
   EXPECT_EQ(Args({"--zone"}).parse(flags), FlagParse::kUnmatched);
 }
 
+TEST(ServingFlagsTest, NumericServingFlagsParseStrictly) {
+  ServingFlags flags(5300);
+  // Out-of-range values are errors, not wrapped or clamped ones.
+  EXPECT_EQ(Args({"--port", "70000"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--port", "-1"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(flags.port, 5300);
+  EXPECT_EQ(Args({"--port", "65535"}).parse(flags), FlagParse::kMatched);
+  EXPECT_EQ(flags.port, 65535);
+  EXPECT_EQ(Args({"--workers", "100000"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--batch", "0"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--rcvbuf", "-5"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--sndbuf", "99999999999"}).parse(flags),
+            FlagParse::kError);
+  EXPECT_EQ(Args({"--metrics-interval", "0"}).parse(flags),
+            FlagParse::kError);
+  EXPECT_EQ(Args({"--push-listen", "-1"}).parse(flags), FlagParse::kError);
+
+  // Trailing garbage is rejected, not truncated at the first non-digit.
+  EXPECT_EQ(Args({"--batch", "32x"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--workers", "4.5"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--rcvbuf", "1M"}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--metrics-interval", "5s"}).parse(flags),
+            FlagParse::kError);
+  EXPECT_EQ(Args({"--push-listen", "4444 "}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(Args({"--port", ""}).parse(flags), FlagParse::kError);
+  EXPECT_EQ(flags.batch, 32);
+  EXPECT_EQ(flags.workers, 1);
+  EXPECT_EQ(flags.rcvbuf, 1 << 20);
+  EXPECT_FALSE(flags.push_plane);
+
+  EXPECT_EQ(Args({"--rcvbuf", "0"}).parse(flags), FlagParse::kMatched);
+  EXPECT_EQ(flags.rcvbuf, 0);  // 0 keeps the OS default
+  EXPECT_EQ(Args({"--metrics-interval", "1"}).parse(flags),
+            FlagParse::kMatched);
+  EXPECT_EQ(flags.metrics_interval_s, 1);
+}
+
+/// dnsq's argv shape: parse_query_flag peeks at the entry after the flag.
+FlagParse parse_query(std::vector<std::string> argv, QueryFlags& flags,
+                      std::size_t* consumed = nullptr) {
+  std::size_t i = 1;
+  const FlagParse result = parse_query_flag(
+      argv.at(0), argv.size() > 1 ? argv[1].c_str() : nullptr,
+      [&]() -> const char* {
+        return i < argv.size() ? argv[i++].c_str() : nullptr;
+      },
+      flags);
+  if (consumed != nullptr) *consumed = i;
+  return result;
+}
+
+TEST(QueryFlagsTest, ExtTakesAnOptionalWholeRrc) {
+  QueryFlags flags;
+  std::size_t consumed = 0;
+  EXPECT_EQ(parse_query({"--ext", "360"}, flags, &consumed),
+            FlagParse::kMatched);
+  EXPECT_TRUE(flags.ext);
+  EXPECT_EQ(flags.rrc, 360);
+  EXPECT_EQ(consumed, 2u);
+
+  // A bare --ext (or one followed by the query type) keeps RRC 0.
+  QueryFlags bare;
+  EXPECT_EQ(parse_query({"--ext"}, bare), FlagParse::kMatched);
+  EXPECT_TRUE(bare.ext);
+  EXPECT_EQ(bare.rrc, 0);
+  QueryFlags typed;
+  EXPECT_EQ(parse_query({"--ext", "A"}, typed, &consumed),
+            FlagParse::kMatched);
+  EXPECT_EQ(typed.rrc, 0);
+  EXPECT_EQ(consumed, 1u) << "the type stays for the caller";
+
+  // A fraction, garbage or an out-of-range RRC is an error, not RRC 0.
+  for (const char* bad : {"0.5", "10x", "70000"}) {
+    QueryFlags flags2;
+    EXPECT_EQ(parse_query({"--ext", bad}, flags2), FlagParse::kError) << bad;
+  }
+}
+
+TEST(QueryFlagsTest, TimeoutParsesStrictly) {
+  QueryFlags flags;
+  EXPECT_EQ(parse_query({"--timeout", "500"}, flags), FlagParse::kMatched);
+  EXPECT_EQ(flags.timeout_ms, 500);
+  EXPECT_EQ(parse_query({"--timeout", "0"}, flags), FlagParse::kError);
+  EXPECT_EQ(parse_query({"--timeout", "2s"}, flags), FlagParse::kError);
+  EXPECT_EQ(parse_query({"--timeout"}, flags), FlagParse::kError);
+  EXPECT_EQ(flags.timeout_ms, 500);
+  EXPECT_EQ(parse_query({"--update"}, flags), FlagParse::kUnmatched);
+}
+
 TEST(ServingFlagsTest, ParsesIoBackend) {
   ServingFlags flags(5300);
   EXPECT_EQ(Args({"--io-backend", "portable"}).parse(flags),

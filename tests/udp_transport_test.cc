@@ -108,7 +108,7 @@ TEST(UdpTransport, StatsCount) {
 }
 
 TEST(UdpTransport, CleanShutdownWithoutTraffic) {
-  // Destroying an idle transport must join its receiver thread promptly.
+  // Destroying an idle transport (no receive-handler thread) is prompt.
   auto t = UdpTransport::bind(0);
   ASSERT_TRUE(t.ok());
   t.value().reset();

@@ -17,9 +17,13 @@
 #   --tsan         build runtime_test + udp_transport_test +
 #                  e2e_daemons_test + the push-plane and planner suites
 #                  under ThreadSanitizer and fail on any report — the
-#                  worker / receiver / journal-writer / push-channel /
-#                  planner thread interplay is where a data race would
-#                  hide;
+#                  worker / journal-writer / push-channel / planner
+#                  thread interplay is where a data race would hide;
+#                  then, where dnsflood --probe-io-backend finds
+#                  io_uring, runtime_test + e2e_daemons_test +
+#                  io_backend_parity_test again on the uring backend
+#                  (eventfd wake-ups from the push and control threads
+#                  into a worker waiting on its ring);
 #   --planner      the lease-planner leg: the planner-labeled suites in
 #                  Release, the online-vs-offline ablation gate
 #                  (bench/ablation_online_policy fails when the planner
@@ -106,12 +110,13 @@ run_tsan() {
     --target runtime_test udp_transport_test e2e_daemons_test \
              io_backend_parity_test push_channel_test e2e_push_test \
              planner_test planner_runtime_test warm_restart_e2e_test \
-             cachestore_test
+             cachestore_test dnsflood
   # halt_on_error turns any race report into a test failure.  The
   # backend is pinned to portable so the leg is deterministic; the
-  # parity test still exercises the uring receiver threads explicitly
-  # where the kernel supports them.  The push suites put the epoll
-  # server thread / client threads / submitter cross-talk under TSan.
+  # parity test still exercises the uring backend explicitly where the
+  # kernel supports it, and the uring pass below covers the runtimes.
+  # The push suites put the epoll server thread / client threads /
+  # submitter cross-talk under TSan.
   # warm_restart_e2e_test rides in the TSan leg: the one-shot survivor
   # snapshot handoff (start thread → push I/O thread) and the readopt
   # fan-out (push I/O thread → worker threads) are cross-thread seams.
@@ -124,6 +129,17 @@ run_tsan() {
     ctest --test-dir "$build_dir" \
     -R "^($tsan_tests)\$" \
     --output-on-failure
+  # Workers that wait on their ring: push- and control-thread eventfd
+  # wake-ups into a uring worker are a cross-thread path of their own.
+  if "$build_dir/tools/dnsflood" --probe-io-backend; then
+    echo "-- threaded runtime under ThreadSanitizer (uring backend) --"
+    TSAN_OPTIONS="halt_on_error=1" DNSCUP_IO_BACKEND=uring \
+      ctest --test-dir "$build_dir" \
+      -R "^(runtime_test|e2e_daemons_test|io_backend_parity_test)\$" \
+      --output-on-failure
+  else
+    echo "-- uring TSan pass SKIP (kernel lacks io_uring support) --"
+  fi
 }
 
 run_io_matrix() {
@@ -377,18 +393,17 @@ case "$mode" in
          "address,undefined sanitizers =="
     # malformed_packet_test rides along: the hostile-input wire-decoder
     # suite is the other place raw byte handling hides memory bugs.
-    # e2e_daemons_test puts the new cache-side runtime's socket plumbing
-    # under ASan/UBSan too; buffer_pool_test and io_backend_parity_test
-    # cover the slot-recycling and backend buffer-ownership edges (pool
-    # exhaustion, reuse after partial flushes, stop/restart leaks).
+    # e2e_daemons_test puts the cache-side runtime's socket plumbing
+    # under ASan/UBSan too; io_backend_parity_test covers the backends'
+    # buffer-ownership edges (recycling after partial pulls,
+    # stop/restart leaks).
     cmake -B "$repo_root/build-store-sanitize" -S "$repo_root" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDNSCUP_SANITIZE=address,undefined
     cmake --build "$repo_root/build-store-sanitize" -j "$jobs" \
       --target store_test recovery_test malformed_packet_test \
-               buffer_pool_test e2e_daemons_test io_backend_parity_test
+               e2e_daemons_test io_backend_parity_test
     sanitize_tests='store_test|recovery_test|malformed_packet_test'
-    sanitize_tests="$sanitize_tests|buffer_pool_test"
     if [ "$e2e" = yes ]; then
       sanitize_tests="$sanitize_tests|e2e_daemons_test|io_backend_parity_test"
     fi

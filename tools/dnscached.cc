@@ -104,9 +104,9 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.query_timeout_ms = std::atoll(v);
       if (opts.query_timeout_ms <= 0) return false;
     } else if (arg == "--retries") {
-      if ((v = next()) == nullptr) return false;
-      opts.retries = std::atoi(v);
-      if (opts.retries < 0) return false;
+      if (!tools::parse_number("--retries", next(), 0, 100, opts.retries)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
       const auto snapshot = rt.metrics();
       std::printf(
           "queries=%llu upstream=%llu leases=%zu entries=%zu "
-          "updates_applied=%llu acks=%llu inbox_drops=%llu",
+          "updates_applied=%llu acks=%llu rx_overflow=%llu",
           static_cast<unsigned long long>(tools::counter_sum(
               snapshot, "resolver_queries", "side", "client")),
           static_cast<unsigned long long>(tools::counter_sum(
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(
               tools::counter_sum(snapshot, "lease_client_acks_sent")),
           static_cast<unsigned long long>(
-              tools::counter_sum(snapshot, "cachert_inbox_dropped")));
+              tools::counter_sum(snapshot, "udp_rx_overflow")));
       if (rt.persistent_cache()) {
         std::printf(
             " store_slots=%llu store_bytes=%llu "

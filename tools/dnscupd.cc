@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
       const auto snapshot = rt.metrics();
       std::printf(
           "queries=%llu updates=%llu leases=%zu pushes=%llu acks=%llu "
-          "readopt=%llu/%llu (resumed/rejected) inbox_drops=%llu\n",
+          "readopt=%llu/%llu (resumed/rejected) rx_overflow=%llu\n",
           static_cast<unsigned long long>(tools::counter_sum(
               snapshot, "auth_server_requests", "op", "query")),
           static_cast<unsigned long long>(tools::counter_sum(
@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(tools::counter_sum(
               snapshot, "authority_lease_readoptions", "result", "rejected")),
           static_cast<unsigned long long>(
-              tools::counter_sum(snapshot, "runtime_inbox_dropped")));
+              tools::counter_sum(snapshot, "udp_rx_overflow")));
     }
   }
   const int sig = g_signal.load();

@@ -30,6 +30,7 @@
 #include "dns/message.h"
 #include "net/udp_transport.h"
 #include "server/update.h"
+#include "tool_common.h"
 
 using namespace dnscup;
 
@@ -39,9 +40,7 @@ struct Options {
   net::Endpoint server;
   dns::Name name;
   dns::RRType qtype = dns::RRType::kA;
-  bool ext = false;
-  uint16_t rrc = 0;
-  int timeout_ms = 2000;
+  tools::QueryFlags query;
   // --update mode
   std::optional<dns::Ipv4> update_address;
   std::optional<dns::Name> zone;
@@ -74,14 +73,18 @@ bool parse_args(int argc, char** argv, Options& opts) {
   opts.name = std::move(name).value();
 
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ext") == 0) {
-      opts.ext = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opts.rrc = static_cast<uint16_t>(std::atoi(argv[++i]));
-      }
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      opts.timeout_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--update") == 0 && i + 1 < argc) {
+    const char* peek = i + 1 < argc ? argv[i + 1] : nullptr;
+    switch (tools::parse_query_flag(
+        argv[i], peek, [&]() { return i + 1 < argc ? argv[++i] : nullptr; },
+        opts.query)) {
+      case tools::FlagParse::kMatched:
+        continue;
+      case tools::FlagParse::kError:
+        return false;
+      case tools::FlagParse::kUnmatched:
+        break;
+    }
+    if (std::strcmp(argv[i], "--update") == 0 && i + 1 < argc) {
       auto address = dns::Ipv4::parse(argv[++i]);
       if (!address.ok()) {
         std::fprintf(stderr, "bad address: %s\n",
@@ -139,9 +142,10 @@ int main(int argc, char** argv) {
     query.id = id;
     query.flags.opcode = dns::Opcode::kQuery;
     query.flags.rd = true;
-    query.flags.ext = opts.ext;
-    query.questions.push_back(
-        dns::Question{opts.name, opts.qtype, dns::RRClass::kIN, opts.rrc});
+    query.flags.ext = opts.query.ext;
+    query.questions.push_back(dns::Question{opts.name, opts.qtype,
+                                            dns::RRClass::kIN,
+                                            opts.query.rrc});
   }
 
   std::mutex mutex;
@@ -173,9 +177,9 @@ int main(int argc, char** argv) {
   transport.value()->send(opts.server, query.encode());
 
   std::unique_lock lock(mutex);
-  if (!cv.wait_for(lock, std::chrono::milliseconds(opts.timeout_ms),
+  if (!cv.wait_for(lock, std::chrono::milliseconds(opts.query.timeout_ms),
                    [&] { return response.has_value(); })) {
-    std::fprintf(stderr, ";; timeout after %d ms\n", opts.timeout_ms);
+    std::fprintf(stderr, ";; timeout after %d ms\n", opts.query.timeout_ms);
     return 1;
   }
   std::printf("%s", response->to_string().c_str());

@@ -65,6 +65,12 @@ inline std::optional<std::vector<int>> parse_pin_cpus(const char* text) {
   return cpus;
 }
 
+/// Upper bounds of the shared serving flags' values.
+inline constexpr int kMaxWorkers = 1024;
+inline constexpr int kMaxBatch = 4096;  ///< datagrams per worker iteration
+inline constexpr int kMaxSocketBuffer = 1 << 30;  ///< bytes; 0 = OS default
+inline constexpr int64_t kMaxMetricsInterval = 86400;  ///< seconds
+
 /// The serving knobs dnscupd and dnscached share verbatim.  Each tool
 /// embeds one (with its own default port), feeds unrecognised args to
 /// parse_serving_flag() first, and copies the result into its runtime
@@ -117,30 +123,37 @@ enum class FlagParse {
 
 /// Tries `arg` against the shared serving flags.  `next` yields the next
 /// argv entry (consuming it) or nullptr — the same closure the tools
-/// already use for their private flags.
+/// already use for their private flags.  Numeric values parse strictly
+/// (parse_number): "--port 70000" or "--batch 32x" is an error, never a
+/// wrapped or truncated value.
 inline FlagParse parse_serving_flag(const std::string& arg,
                                     const std::function<const char*()>& next,
                                     ServingFlags& flags) {
   const char* v = nullptr;
   if (arg == "--port") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.port = static_cast<uint16_t>(std::atoi(v));
+    int port = 0;
+    if (!parse_number("--port", next(), 0, 65535, port)) {
+      return FlagParse::kError;
+    }
+    flags.port = static_cast<uint16_t>(port);
   } else if (arg == "--workers") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.workers = std::atoi(v);
-    if (flags.workers < 1) return FlagParse::kError;
+    if (!parse_number("--workers", next(), 1, kMaxWorkers, flags.workers)) {
+      return FlagParse::kError;
+    }
   } else if (arg == "--no-reuseport") {
     flags.reuseport = false;
   } else if (arg == "--batch") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.batch = std::atoi(v);
-    if (flags.batch < 1) return FlagParse::kError;
+    if (!parse_number("--batch", next(), 1, kMaxBatch, flags.batch)) {
+      return FlagParse::kError;
+    }
   } else if (arg == "--rcvbuf") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.rcvbuf = std::atoi(v);
+    if (!parse_number("--rcvbuf", next(), 0, kMaxSocketBuffer, flags.rcvbuf)) {
+      return FlagParse::kError;
+    }
   } else if (arg == "--sndbuf") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.sndbuf = std::atoi(v);
+    if (!parse_number("--sndbuf", next(), 0, kMaxSocketBuffer, flags.sndbuf)) {
+      return FlagParse::kError;
+    }
   } else if (arg == "--io-backend") {
     if ((v = next()) == nullptr) return FlagParse::kError;
     const auto kind = net::parse_io_backend_kind(v);
@@ -164,16 +177,15 @@ inline FlagParse parse_serving_flag(const std::string& arg,
     if ((v = next()) == nullptr) return FlagParse::kError;
     flags.metrics_out = v;
   } else if (arg == "--metrics-interval") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    flags.metrics_interval_s = std::atoll(v);
-    if (flags.metrics_interval_s <= 0) return FlagParse::kError;
+    if (!parse_number("--metrics-interval", next(), int64_t{1},
+                      kMaxMetricsInterval, flags.metrics_interval_s)) {
+      return FlagParse::kError;
+    }
   } else if (arg == "--push-plane") {
     flags.push_plane = true;
   } else if (arg == "--push-listen") {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    const int port = std::atoi(v);
-    if (port < 0 || port > 65535) {
-      std::fprintf(stderr, "bad --push-listen %s (want a TCP port)\n", v);
+    int port = 0;
+    if (!parse_number("--push-listen", next(), 0, 65535, port)) {
       return FlagParse::kError;
     }
     flags.push_listen = static_cast<uint16_t>(port);
@@ -190,6 +202,39 @@ inline FlagParse parse_serving_flag(const std::string& arg,
     flags.push_plane = true;
   } else if (arg == "--verbose") {
     flags.verbose = true;
+  } else {
+    return FlagParse::kUnmatched;
+  }
+  return FlagParse::kMatched;
+}
+
+/// dnsq's query flags.
+struct QueryFlags {
+  bool ext = false;
+  uint16_t rrc = 0;  ///< whole queries per hour; 0 = "no demand"
+  int timeout_ms = 2000;
+};
+
+/// Tries `arg` against dnsq's query flags.  `peek` is the argv entry
+/// after `arg` (nullptr at the end) and `next` consumes it.  `--ext`
+/// takes an optional RRC, consumed only when the next entry starts with
+/// a digit (so `--ext A` still reads A as the query type); the RRC and
+/// `--timeout` parse strictly, so `--ext 0.5` is an error, not RRC 0.
+inline FlagParse parse_query_flag(const std::string& arg, const char* peek,
+                                  const std::function<const char*()>& next,
+                                  QueryFlags& flags) {
+  if (arg == "--ext") {
+    flags.ext = true;
+    if (peek != nullptr && *peek >= '0' && *peek <= '9' &&
+        !parse_number("--ext", next(), uint16_t{0}, uint16_t{65535},
+                      flags.rrc)) {
+      return FlagParse::kError;
+    }
+  } else if (arg == "--timeout") {
+    if (!parse_number("--timeout", next(), 1, 3600 * 1000,
+                      flags.timeout_ms)) {
+      return FlagParse::kError;
+    }
   } else {
     return FlagParse::kUnmatched;
   }
