@@ -7,12 +7,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
 #include <ctime>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,11 +93,25 @@ int64_t realtime_us() {
   return int64_t{ts.tv_sec} * 1'000'000 + ts.tv_nsec / 1'000;
 }
 
-std::string lower(std::string text) {
-  for (char& c : text) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+/// A name's slot text — its lower-cased presentation form, "." for the
+/// root — written into `buf` without allocating.  Empty when the text
+/// would not fit a slot.
+using NameText = std::array<char, kMaxNameText + 1>;
+
+template <typename NameT>
+std::string_view name_text(const NameT& name, NameText& buf) {
+  if (name.is_root()) return ".";
+  std::size_t len = 0;
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string_view label = name.label(i);
+    if (len + label.size() + 1 > kMaxNameText) return {};
+    for (const char c : label) {
+      buf[len++] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
+                                          : c;
+    }
+    buf[len++] = '.';
   }
-  return text;
+  return {buf.data(), len};
 }
 
 uint64_t zone_slot_hash(const dns::Name& zone) {
@@ -371,7 +385,7 @@ void MmapCacheStore::load_image(int64_t wall_now) {
   // them.  The rewrite also compacts the slab and clears tombstones.
   reset_image(wall_now);
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    persist_entry(*it, entries_.at(*it).entry);
+    persist_entry(*it, entries_.at(*it));
   }
   for (const auto& [zone, serial] : zone_serials_) {
     persist_zone(zone, serial);
@@ -484,8 +498,9 @@ void MmapCacheStore::kill_slot(std::size_t index) {
 
 void MmapCacheStore::persist_entry(const server::CacheKey& key,
                                    const server::CacheEntry& entry) {
-  const std::string text = lower(key.name.to_string());
-  if (text.empty() || text.size() > kMaxNameText) return;
+  NameText buf;
+  const std::string_view text = name_text(key.name, buf);
+  if (text.empty()) return;
   const uint64_t hash = server::CacheKeyHash{}(key);
   const auto rrtype = static_cast<uint16_t>(key.type);
 
@@ -549,8 +564,9 @@ void MmapCacheStore::persist_entry(const server::CacheKey& key,
 }
 
 void MmapCacheStore::persist_zone(const dns::Name& zone, uint32_t serial) {
-  const std::string text = lower(zone.to_string());
-  if (text.empty() || text.size() > kMaxNameText) return;
+  NameText buf;
+  const std::string_view text = name_text(zone, buf);
+  if (text.empty()) return;
   const uint64_t hash = zone_slot_hash(zone);
 
   std::size_t insert_at = slot_count_;
@@ -587,7 +603,8 @@ void MmapCacheStore::commit(const server::CacheKey& key) {
 }
 
 bool MmapCacheStore::erase(const server::CacheKey& key) {
-  const std::string text = lower(key.name.to_string());
+  NameText buf;
+  const std::string_view text = name_text(key.name, buf);
   const uint64_t hash = server::CacheKeyHash{}(key);
   if (!HeapCacheStore::erase(key)) return false;
   const std::size_t idx = probe(hash, kUsed, text,
@@ -598,10 +615,21 @@ bool MmapCacheStore::erase(const server::CacheKey& key) {
 
 void MmapCacheStore::touch(const server::CacheKey& key) {
   HeapCacheStore::touch(key);
-  const std::string text = lower(key.name.to_string());
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  const std::size_t idx = probe(hash, kUsed, text,
-                                static_cast<uint16_t>(key.type), nullptr);
+  NameText buf;
+  touch_slot(server::CacheKeyHash{}(key), name_text(key.name, buf), key.type);
+}
+
+void MmapCacheStore::touch(const server::CacheKeyView& key,
+                           server::CacheEntry& entry) {
+  HeapCacheStore::touch(key, entry);
+  NameText buf;
+  touch_slot(key.hash, name_text(key.name, buf), key.type);
+}
+
+void MmapCacheStore::touch_slot(uint64_t key_hash, std::string_view text,
+                                dns::RRType type) {
+  const std::size_t idx =
+      probe(key_hash, kUsed, text, static_cast<uint16_t>(type), nullptr);
   if (idx == slot_count_) return;
   // Outside the CRC-covered range by design: the per-hit cost is one
   // probe plus one u64 store, no checksum recomputation.

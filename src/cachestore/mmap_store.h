@@ -92,6 +92,8 @@ class MmapCacheStore final : public server::HeapCacheStore {
   void commit(const server::CacheKey& key) override;
   bool erase(const server::CacheKey& key) override;
   void touch(const server::CacheKey& key) override;
+  void touch(const server::CacheKeyView& key,
+             server::CacheEntry& entry) override;
   void put_zone_serial(const dns::Name& zone, uint32_t serial) override;
 
   const LoadReport& load_report() const { return load_; }
@@ -125,6 +127,8 @@ class MmapCacheStore final : public server::HeapCacheStore {
   /// false (persist failure) when the slab cannot take it even compacted.
   bool slab_append(std::span<const uint8_t> payload, uint64_t* off);
   void compact_slab();
+  /// Stamps a fresh LRU tick on the entry's slot (no-op when absent).
+  void touch_slot(uint64_t key_hash, std::string_view text, dns::RRType type);
   void write_slot(std::size_t index, std::span<const uint8_t> image);
   void kill_slot(std::size_t index);
   void persist_entry(const server::CacheKey& key,

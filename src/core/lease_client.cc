@@ -80,26 +80,32 @@ LeaseClient::Stats LeaseClient::stats() const {
 }
 
 void LeaseClient::on_client_query(const dns::Name& qname, dns::RRType qtype) {
-  rates_.record(qname, qtype, resolver_->loop().now());
-  maybe_renegotiate(qname, qtype);
+  const dns::NameView view(qname);
+  const server::CacheKeyView key(view, qtype);
+  observe_query(key, resolver_->cache().peek(key));
 }
 
-void LeaseClient::maybe_renegotiate(const dns::Name& qname,
-                                    dns::RRType qtype) {
-  if (config_.renegotiate_rate_factor <= 0.0) return;
+void LeaseClient::on_client_query(const server::CacheKeyView& key,
+                                  const server::CacheEntry& hit) {
+  observe_query(key, &hit);
+}
+
+void LeaseClient::observe_query(const server::CacheKeyView& key,
+                                const server::CacheEntry* entry) {
   const net::SimTime now = resolver_->loop().now();
-  const server::CacheEntry* entry = resolver_->cache().peek(qname, qtype);
+  rates_.record(key, now);
+  if (config_.renegotiate_rate_factor <= 0.0) return;
   if (entry == nullptr || !entry->lease.has_value() ||
       now >= entry->lease->expiry) {
     return;  // nothing leased; the normal miss path negotiates
   }
-  auto it = lease_meta_.find(MetaKey{qname, qtype});
+  auto it = lease_meta_.find(key);
   if (it == lease_meta_.end()) return;
   LeaseMeta& meta = it->second;
   if (now - meta.last_renegotiation < config_.renegotiate_min_interval) {
     return;
   }
-  const double current = rates_.rate(qname, qtype, now);
+  const double current = rates_.rate(key, now);
   const double baseline = meta.rate_at_grant;
   if (baseline <= 0.0) return;
   const double ratio = current / baseline;
@@ -111,7 +117,7 @@ void LeaseClient::maybe_renegotiate(const dns::Name& qname,
   ++stats_.renegotiations;
   // A forced EXT refresh carries the new RRC; the authority re-decides
   // the lease term and the response re-registers it here.
-  resolver_->refresh(qname, qtype,
+  resolver_->refresh(key.name.materialize(), key.type,
                      [](const server::CachingResolver::Outcome&) {});
 }
 
@@ -150,7 +156,7 @@ void LeaseClient::on_response(const net::Endpoint& from,
   // backend re-serializes the entry with its new lease state.
   resolver_->cache().set_lease(q.qname, q.qtype,
                                LeaseState{now + length, from});
-  auto& meta = lease_meta_[MetaKey{q.qname, q.qtype}];
+  auto& meta = lease_meta_[server::CacheKey{q.qname, q.qtype}];
   meta.rate_at_grant = rates_.rate(q.qname, q.qtype, now);
 }
 
@@ -227,7 +233,7 @@ void LeaseClient::on_readoption(
       // a plain TTL entry so we never serve it as push-maintained.  The
       // next client query re-negotiates normally.
       resolver_->cache().set_lease(name, type, std::nullopt);
-      lease_meta_.erase(MetaKey{name, type});
+      lease_meta_.erase(server::CacheKey{name, type});
       ++stats_.readoptions_rejected;
       continue;
     }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -81,6 +82,11 @@ class LeaseClient final : public server::CachingResolver::Extension {
 
   // Extension interface -----------------------------------------------
   void on_client_query(const dns::Name& qname, dns::RRType qtype) override;
+  /// The allocation-free form for fast-path hits: the rate tracker and
+  /// the lease metadata are probed by the borrowed key (its hash reused),
+  /// and `hit` stands in for a second cache probe.
+  void on_client_query(const server::CacheKeyView& key,
+                       const server::CacheEntry& hit) override;
   void on_outgoing_query(dns::Message& query) override;
   void on_response(const net::Endpoint& from,
                    const dns::Message& response) override;
@@ -155,17 +161,10 @@ class LeaseClient final : public server::CachingResolver::Extension {
     double rate_at_grant = 0.0;
     net::SimTime last_renegotiation = 0;
   };
-  struct MetaKey {
-    dns::Name name;
-    dns::RRType type;
-    bool operator<(const MetaKey& other) const {
-      if (name < other.name) return true;
-      if (other.name < name) return false;
-      return type < other.type;
-    }
-  };
-
-  void maybe_renegotiate(const dns::Name& qname, dns::RRType qtype);
+  /// One client question: records its rate and re-negotiates a lease
+  /// whose rate drifted.  `entry` is the cached record (null when none).
+  void observe_query(const server::CacheKeyView& key,
+                     const server::CacheEntry* entry);
   /// Shared CACHE-UPDATE pipeline: trust gate, verify, parse, grantor
   /// check, serial guard, apply, ack via `send_ack`.
   bool handle_update(const net::Endpoint& from, const dns::Message& message,
@@ -176,7 +175,9 @@ class LeaseClient final : public server::CachingResolver::Extension {
   RateTracker rates_;
   /// Highest zone serial applied, per zone (dedupe / ordering guard).
   std::map<dns::Name, uint32_t> zone_serials_;
-  std::map<MetaKey, LeaseMeta> lease_meta_;
+  std::unordered_map<server::CacheKey, LeaseMeta, server::CacheKeyHash,
+                     server::CacheKeyEq>
+      lease_meta_;
   Instruments stats_;
 };
 

@@ -6,10 +6,18 @@ namespace dnscup::core {
 
 void RateTracker::record(const dns::Name& name, dns::RRType type,
                          net::SimTime now) {
-  auto it = samples_.find(Key{name, type});
+  const dns::NameView view(name);
+  record(server::CacheKeyView(view, type), now);
+}
+
+void RateTracker::record(const server::CacheKeyView& key, net::SimTime now) {
+  auto it = samples_.find(key);
   if (it == samples_.end()) {
     if (!admit_new_key(now)) return;
-    it = samples_.try_emplace(Key{name, type}, max_samples_).first;
+    it = samples_
+             .try_emplace(server::CacheKey{key.name.materialize(), key.type},
+                          max_samples_)
+             .first;
   }
   it->second.push(now);
   trim(it->second, now);
@@ -41,28 +49,34 @@ void RateTracker::trim(SampleRing& times, net::SimTime now) const {
 
 double RateTracker::rate(const dns::Name& name, dns::RRType type,
                          net::SimTime now) const {
-  auto it = samples_.find(Key{name, type});
-  if (it == samples_.end()) return 0.0;
-  // Count in-window samples without mutating state (const method).
-  const net::SimTime horizon = now - window_;
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < it->second.size(); ++i) {
-    if (it->second.at(i) >= horizon) ++live;
-  }
-  if (live == 0) return 0.0;
-  return static_cast<double>(live) / net::to_seconds(window_);
+  const dns::NameView view(name);
+  return rate(server::CacheKeyView(view, type), now);
+}
+
+double RateTracker::rate(const server::CacheKeyView& key,
+                         net::SimTime now) const {
+  const std::size_t n = live(key, now);
+  if (n == 0) return 0.0;
+  return static_cast<double>(n) / net::to_seconds(window_);
 }
 
 std::size_t RateTracker::count(const dns::Name& name, dns::RRType type,
                                net::SimTime now) const {
-  auto it = samples_.find(Key{name, type});
+  const dns::NameView view(name);
+  return live(server::CacheKeyView(view, type), now);
+}
+
+std::size_t RateTracker::live(const server::CacheKeyView& key,
+                              net::SimTime now) const {
+  auto it = samples_.find(key);
   if (it == samples_.end()) return 0;
+  // Count in-window samples without mutating state (const method).
   const net::SimTime horizon = now - window_;
-  std::size_t live = 0;
+  std::size_t n = 0;
   for (std::size_t i = 0; i < it->second.size(); ++i) {
-    if (it->second.at(i) >= horizon) ++live;
+    if (it->second.at(i) >= horizon) ++n;
   }
-  return live;
+  return n;
 }
 
 std::size_t RateTracker::prune(net::SimTime now) {

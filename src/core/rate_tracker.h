@@ -17,6 +17,7 @@
 #include "dns/name.h"
 #include "dns/rdata.h"
 #include "net/time.h"
+#include "server/cache.h"
 
 namespace dnscup::core {
 
@@ -79,11 +80,15 @@ class RateTracker {
         max_keys_(max_keys) {}
 
   void record(const dns::Name& name, dns::RRType type, net::SimTime now);
+  /// The same by a borrowed key: allocation-free once the key is tracked
+  /// and its ring is full.
+  void record(const server::CacheKeyView& key, net::SimTime now);
 
   /// Estimated arrival rate in events/second over the window at `now`.
   /// With zero or one retained sample the estimate is count/window.
   double rate(const dns::Name& name, dns::RRType type,
               net::SimTime now) const;
+  double rate(const server::CacheKeyView& key, net::SimTime now) const;
 
   /// Number of events retained in-window for the key.
   std::size_t count(const dns::Name& name, dns::RRType type,
@@ -103,19 +108,8 @@ class RateTracker {
   uint64_t keys_dropped() const { return keys_dropped_; }
 
  private:
-  struct Key {
-    dns::Name name;
-    dns::RRType type;
-    bool operator==(const Key& other) const {
-      return type == other.type && name == other.name;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return k.name.hash() * 31 + static_cast<std::size_t>(k.type);
-    }
-  };
-
+  /// In-window samples of the key's ring (0 when untracked).
+  std::size_t live(const server::CacheKeyView& key, net::SimTime now) const;
   void trim(SampleRing& times, net::SimTime now) const;
   /// True when a new key may be inserted (prunes first when at the cap).
   bool admit_new_key(net::SimTime now);
@@ -126,7 +120,9 @@ class RateTracker {
   std::size_t max_keys_;
   std::size_t ops_since_prune_ = 0;
   uint64_t keys_dropped_ = 0;
-  std::unordered_map<Key, SampleRing, KeyHash> samples_;
+  std::unordered_map<server::CacheKey, SampleRing, server::CacheKeyHash,
+                     server::CacheKeyEq>
+      samples_;
 };
 
 }  // namespace dnscup::core

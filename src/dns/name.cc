@@ -210,6 +210,12 @@ std::size_t NameView::wire_length() const {
   return len;
 }
 
+NameView::NameView(const Name& name) {
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    push_label(name.label(i));
+  }
+}
+
 void NameView::push_label(std::string_view label) {
   DNSCUP_ASSERT(count_ < kMaxLabels);
   DNSCUP_ASSERT(!label.empty() && label.size() <= kMaxLabelLength);

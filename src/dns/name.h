@@ -91,6 +91,8 @@ class NameView {
   static constexpr std::size_t kMaxLabels = 128;
 
   NameView() = default;
+  /// Views an owning name's labels; valid while `name` is.
+  explicit NameView(const Name& name);
 
   bool is_root() const { return count_ == 0; }
   std::size_t label_count() const { return count_; }

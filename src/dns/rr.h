@@ -66,6 +66,10 @@ void encode_record(const ResourceRecord& rr, ByteWriter& writer);
 /// to calling encode_record on each of set.to_records().
 void encode_rrset(const RRset& set, ByteWriter& writer);
 
+/// The same with `ttl` written in place of set.ttl — a cache answering
+/// from its copy writes the remaining TTL without copying the set.
+void encode_rrset(const RRset& set, uint32_t ttl, ByteWriter& writer);
+
 /// Decodes one record at the reader's cursor.
 util::Result<ResourceRecord> decode_record(ByteReader& reader);
 

@@ -83,6 +83,15 @@ CacheEntry* ResolverCache::peek(const dns::Name& name, dns::RRType type) {
   return store_->find(CacheKey{name, type});
 }
 
+CacheEntry* ResolverCache::peek(const CacheKeyView& key) {
+  return store_->find(key);
+}
+
+void ResolverCache::record_hit(const CacheKeyView& key, CacheEntry& entry) {
+  ++stats_.hits;
+  store_->touch(key, entry);
+}
+
 CacheEntry& ResolverCache::put(const dns::RRset& rrset, net::SimTime now) {
   const CacheKey key{rrset.name, rrset.type};
   bool inserted = false;

@@ -37,17 +37,51 @@ struct CacheKey {
   }
 };
 
+/// Borrowed probe key for allocation-free lookups: a NameView over the
+/// request bytes plus a type, with its CacheKeyHash computed once — the
+/// heap map and the mmap store's slot table both probe on that value.
+/// Valid only while the viewed bytes are.
+struct CacheKeyView {
+  CacheKeyView(const dns::NameView& n, dns::RRType t);
+
+  const dns::NameView& name;
+  dns::RRType type;
+  std::size_t hash;
+};
+
 struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& k) const {
-    // splitmix64 finalizer over the (name hash, type) pair: the same
-    // full-avalanche mix the planner's demand table probes on, so the
-    // heap map and the cachestore in-file open-addressed table share one
-    // well-distributed hash.
+  using is_transparent = void;
+
+  /// splitmix64 finalizer over the (name hash, type) pair: the same
+  /// full-avalanche mix the planner's demand table probes on, so the
+  /// heap map and the cachestore in-file open-addressed table share one
+  /// well-distributed hash.
+  static std::size_t mix(std::size_t name_hash, dns::RRType type) {
     return static_cast<std::size_t>(util::splitmix64_mix(
-        static_cast<uint64_t>(k.name.hash()) * 31u +
-        static_cast<uint64_t>(k.type)));
+        static_cast<uint64_t>(name_hash) * 31u +
+        static_cast<uint64_t>(type)));
+  }
+  std::size_t operator()(const CacheKey& k) const {
+    return mix(k.name.hash(), k.type);
+  }
+  std::size_t operator()(const CacheKeyView& k) const { return k.hash; }
+};
+
+struct CacheKeyEq {
+  using is_transparent = void;
+  bool operator()(const CacheKey& a, const CacheKey& b) const {
+    return a == b;
+  }
+  bool operator()(const CacheKey& a, const CacheKeyView& b) const {
+    return a.type == b.type && b.name.equals(a.name);
+  }
+  bool operator()(const CacheKeyView& a, const CacheKey& b) const {
+    return (*this)(b, a);
   }
 };
+
+inline CacheKeyView::CacheKeyView(const dns::NameView& n, dns::RRType t)
+    : name(n), type(t), hash(CacheKeyHash::mix(n.hash(), t)) {}
 
 struct LeaseState {
   net::SimTime expiry = 0;        ///< lease valid until this instant
@@ -68,6 +102,13 @@ struct CacheEntry {
   bool fresh(net::SimTime now) const {
     if (now < expiry) return true;
     return lease.has_value() && now < lease->expiry;
+  }
+
+  /// Whole seconds of TTL left at `now`; 0 once the TTL ran out (a leased
+  /// entry past its TTL answers with TTL 0).
+  uint32_t remaining_ttl(net::SimTime now) const {
+    const auto left = (expiry - now) / net::seconds(1);
+    return left > 0 ? static_cast<uint32_t>(left) : 0;
   }
 };
 
@@ -108,6 +149,14 @@ class ResolverCache {
   /// mutations through the returned pointer reach a persistent backend
   /// only after commit() — prefer set_lease() for lease changes.
   CacheEntry* peek(const dns::Name& name, dns::RRType type);
+
+  /// The same probe by a borrowed key: no allocation, no count, no LRU
+  /// change — so a caller that declines the entry leaves no trace.
+  CacheEntry* peek(const CacheKeyView& key);
+
+  /// Commits a hit on `entry`, which peek(key) just returned: counts it
+  /// as lookup() does and moves it to the LRU front without re-probing.
+  void record_hit(const CacheKeyView& key, CacheEntry& entry);
 
   /// Inserts a positive entry.
   CacheEntry& put(const dns::RRset& rrset, net::SimTime now);

@@ -4,7 +4,12 @@ namespace dnscup::server {
 
 CacheEntry* HeapCacheStore::find(const CacheKey& key) {
   auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second.entry;
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+CacheEntry* HeapCacheStore::find(const CacheKeyView& key) {
+  auto it = entries_.find(key);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 CacheEntry& HeapCacheStore::upsert(const CacheKey& key, bool& inserted) {
@@ -14,7 +19,7 @@ CacheEntry& HeapCacheStore::upsert(const CacheKey& key, bool& inserted) {
     lru_.push_front(key);
     it->second.lru_it = lru_.begin();
   }
-  return it->second.entry;
+  return it->second;
 }
 
 bool HeapCacheStore::erase(const CacheKey& key) {
@@ -28,9 +33,12 @@ bool HeapCacheStore::erase(const CacheKey& key) {
 void HeapCacheStore::touch(const CacheKey& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+}
+
+void HeapCacheStore::touch(const CacheKeyView& key, CacheEntry& entry) {
+  (void)key;
+  lru_.splice(lru_.begin(), lru_, static_cast<Node&>(entry).lru_it);
 }
 
 std::optional<CacheStoreBackend::Victim> HeapCacheStore::evict_candidate(
@@ -45,7 +53,7 @@ std::optional<CacheStoreBackend::Victim> HeapCacheStore::evict_candidate(
   auto stop = lru_.rend();
   --stop;  // reverse iteration ends before the LRU front (MRU entry)
   for (auto it = lru_.rbegin(); it != stop; ++it) {
-    const CacheEntry& entry = entries_.at(*it).entry;
+    const CacheEntry& entry = entries_.at(*it);
     const bool lease_valid =
         entry.lease.has_value() && now < entry.lease->expiry;
     if (!lease_valid) return Victim{*it, false};
@@ -55,7 +63,7 @@ std::optional<CacheStoreBackend::Victim> HeapCacheStore::evict_candidate(
 }
 
 void HeapCacheStore::for_each(const EntryFn& fn) const {
-  for (const auto& [key, node] : entries_) fn(key, node.entry);
+  for (const auto& [key, node] : entries_) fn(key, node);
 }
 
 void HeapCacheStore::put_zone_serial(const dns::Name& zone, uint32_t serial) {

@@ -46,6 +46,9 @@ class CacheStoreBackend {
   /// commit(key) to reach a persistent image.
   virtual CacheEntry* find(const CacheKey& key) = 0;
 
+  /// The same probe by a borrowed key, without allocating.
+  virtual CacheEntry* find(const CacheKeyView& key) = 0;
+
   /// Inserts (default-constructed) or returns the existing entry;
   /// `inserted` reports which.  A fresh insert lands at the LRU front.
   virtual CacheEntry& upsert(const CacheKey& key, bool& inserted) = 0;
@@ -57,6 +60,10 @@ class CacheStoreBackend {
 
   /// Moves the entry to the LRU front.
   virtual void touch(const CacheKey& key) = 0;
+
+  /// Moves `entry` — what find(key) returned, not erased since — to the
+  /// LRU front without probing for it again.
+  virtual void touch(const CacheKeyView& key, CacheEntry& entry) = 0;
 
   struct Victim {
     CacheKey key;
@@ -87,21 +94,25 @@ class HeapCacheStore : public CacheStoreBackend {
   std::string_view name() const override { return "heap"; }
   std::size_t size() const override { return entries_.size(); }
   CacheEntry* find(const CacheKey& key) override;
+  CacheEntry* find(const CacheKeyView& key) override;
   CacheEntry& upsert(const CacheKey& key, bool& inserted) override;
   bool erase(const CacheKey& key) override;
   void touch(const CacheKey& key) override;
+  void touch(const CacheKeyView& key, CacheEntry& entry) override;
   std::optional<Victim> evict_candidate(net::SimTime now) const override;
   void for_each(const EntryFn& fn) const override;
   void put_zone_serial(const dns::Name& zone, uint32_t serial) override;
   std::vector<std::pair<dns::Name, uint32_t>> zone_serials() const override;
 
  protected:
-  struct Node {
-    CacheEntry entry;
+  /// A map node is its entry: every CacheEntry this store hands out is
+  /// the base of a Node, so touch(key, entry) reaches the LRU position
+  /// from the entry alone.
+  struct Node : CacheEntry {
     std::list<CacheKey>::iterator lru_it;
   };
 
-  std::unordered_map<CacheKey, Node, CacheKeyHash> entries_;
+  std::unordered_map<CacheKey, Node, CacheKeyHash, CacheKeyEq> entries_;
   std::list<CacheKey> lru_;  ///< front = most recent
   std::map<dns::Name, uint32_t> zone_serials_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dns/wire.h"
 #include "server/cache_store.h"
 #include "util/assert.h"
 #include "util/logging.h"
@@ -71,6 +72,7 @@ CachingResolver::CachingResolver(net::Transport& transport,
   };
   stats_.client_queries =
       registry.counter("resolver_queries", labeled("side", "client"));
+  stats_.fast_hits = registry.counter("resolver_fast_hits", base);
   stats_.upstream_queries =
       registry.counter("resolver_queries", labeled("side", "upstream"));
   stats_.retransmissions = registry.counter("resolver_retransmissions", base);
@@ -86,6 +88,7 @@ CachingResolver::CachingResolver(net::Transport& transport,
 CachingResolver::Stats CachingResolver::stats() const {
   return Stats{
       .client_queries = stats_.client_queries,
+      .fast_hits = stats_.fast_hits,
       .upstream_queries = stats_.upstream_queries,
       .retransmissions = stats_.retransmissions,
       .timeouts = stats_.timeouts,
@@ -96,6 +99,7 @@ CachingResolver::Stats CachingResolver::stats() const {
 
 void CachingResolver::on_datagram(const net::Endpoint& from,
                                   std::span<const uint8_t> data) {
+  if (try_fast_hit(from, data)) return;
   auto decoded = Message::decode(data);
   if (!decoded) {
     DNSCUP_LOG_DEBUG("resolver %s: undecodable datagram from %s",
@@ -117,6 +121,80 @@ void CachingResolver::on_datagram(const net::Endpoint& from,
   Message resp = make_response(msg);
   resp.flags.rcode = Rcode::kNotImp;
   transport_->send(from, resp.encode());
+}
+
+bool CachingResolver::try_fast_hit(const net::Endpoint& from,
+                                   std::span<const uint8_t> data) {
+  // Preconditions under which the answer is byte-for-byte what decode +
+  // handle_client_query + encode sends.  Every check runs before the
+  // first side effect, so a declined datagram leaves no trace.
+  if (data.size() < 12) return false;
+  const auto be16 = [&data](std::size_t i) {
+    return static_cast<uint16_t>(data[i] << 8 | data[i + 1]);
+  };
+  const dns::Flags flags = dns::Flags::unpack(be16(2));
+  // QR=1 and the CACHE-UPDATE opcode are the extension's (on_unsolicited).
+  if (flags.qr || flags.ext || flags.opcode != Opcode::kQuery) return false;
+  if (be16(4) != 1 || be16(6) != 0 || be16(8) != 0 || be16(10) != 0) {
+    return false;  // exactly one question, no other sections
+  }
+  // resolve_internal's depth guard, which only a negative limit trips at
+  // depth 0.
+  if (config_.max_cname_hops + config_.max_indirections < 0) return false;
+
+  dns::ByteReader r(data);
+  (void)r.seek(12);
+  dns::NameView qname;
+  if (!r.name_view(qname).ok()) return false;
+  // A pointer-free qname, so the question is echoed verbatim below.
+  if (r.offset() != 12 + qname.wire_length()) return false;
+  const auto qtype_raw = r.u16();
+  if (!qtype_raw.ok() || !r.u16().ok()) return false;  // qclass is echoed
+  if (!r.at_end()) return false;  // trailing bytes: decode rejects them
+  const std::size_t question_len = r.offset() - 12;
+  const RRType qtype = static_cast<RRType>(qtype_raw.value());
+
+  const net::SimTime now = loop_->now();
+  const CacheKeyView key(qname, qtype);
+  CacheEntry* entry = cache_.peek(key);
+  if (entry == nullptr || !entry->fresh(now)) return false;
+
+  // Committed.  The owning path's side effects, in its observable order:
+  // the hook (which may send a re-negotiation refresh) before the LRU
+  // touch of the answered entry.
+  ++stats_.client_queries;
+  ++stats_.fast_hits;
+  if (extension_ != nullptr) extension_->on_client_query(key, *entry);
+  cache_.record_hit(key, *entry);
+
+  dns::Flags rf;
+  rf.qr = true;
+  rf.opcode = Opcode::kQuery;
+  rf.rd = flags.rd;
+  rf.ra = true;
+  if (entry->negative && entry->negative_rcode == Rcode::kNXDomain) {
+    rf.rcode = Rcode::kNXDomain;
+  }
+  const std::size_t answers = entry->negative ? 0 : entry->rrset.size();
+
+  answer_arena_.clear();
+  dns::ByteWriter w(answer_arena_);
+  w.begin_message();
+  w.u16(be16(0));
+  w.u16(rf.pack());
+  w.u16(1);
+  w.u16(static_cast<uint16_t>(answers));
+  w.u16(0);
+  w.u16(0);
+  // The echoed qname registers as a compression target, so the owner
+  // names compress against it exactly as on the owning path.
+  w.bytes(data.subspan(12, question_len));
+  w.register_name(12);
+  if (answers > 0) {
+    dns::encode_rrset(entry->rrset, entry->remaining_ttl(now), w);
+  }
+  transport_->send(from, w.message());
+  return true;
 }
 
 void CachingResolver::handle_client_query(const net::Endpoint& from,
@@ -190,8 +268,7 @@ bool CachingResolver::answer_from_cache(const Name& qname, RRType qtype,
     } else {
       out.status = Outcome::Status::kOk;
       out.rrset = entry->rrset;
-      const auto remaining = (entry->expiry - now) / net::seconds(1);
-      out.rrset.ttl = remaining > 0 ? static_cast<uint32_t>(remaining) : 0;
+      out.rrset.ttl = entry->remaining_ttl(now);
     }
     cb(out);
     return true;

@@ -10,11 +10,22 @@
 // responses (granted LLT -> lease registration) and consume unsolicited
 // messages (CACHE-UPDATE pushes).  With no extension installed this is a
 // plain TTL resolver — the backward-compatible deployment story of §1.
+//
+// Serving has two paths.  A plain one-question query that hits a fresh
+// entry is answered by try_fast_hit straight from the request bytes: the
+// qname is parsed as a NameView, the cache is probed by a CacheKeyView,
+// and the answer is encoded into a reused arena — no heap allocation.
+// Its bytes and side effects (counters, extension hook, LRU order) are
+// exactly the owning path's: Message::decode, handle_client_query,
+// resolve() and encode().  Everything else (misses, expired entries,
+// CNAME chases, EXT, other opcodes, malformed input) takes that owning
+// path, and the fast path declines before changing anything.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dns/message.h"
@@ -54,6 +65,7 @@ class CachingResolver {
 
   struct Stats {
     uint64_t client_queries = 0;
+    uint64_t fast_hits = 0;        ///< client queries try_fast_hit answered
     uint64_t upstream_queries = 0;
     uint64_t retransmissions = 0;
     uint64_t timeouts = 0;
@@ -70,6 +82,15 @@ class CachingResolver {
     virtual void on_client_query(const dns::Name& qname, dns::RRType qtype) {
       (void)qname;
       (void)qtype;
+    }
+    /// The same observation for a question try_fast_hit answers: `key`
+    /// views the request bytes (valid only for the call) and `hit` is the
+    /// fresh entry about to be served.  The default materializes the name
+    /// and forwards to the owning form.
+    virtual void on_client_query(const CacheKeyView& key,
+                                 const CacheEntry& hit) {
+      (void)hit;
+      on_client_query(key.name.materialize(), key.type);
     }
     /// Chance to mutate an outgoing upstream query (set EXT flag, RRC).
     virtual void on_outgoing_query(dns::Message& query) { (void)query; }
@@ -114,6 +135,19 @@ class CachingResolver {
   /// The extension must outlive the resolver (not owned).
   void set_extension(Extension* extension) { extension_ = extension; }
 
+  /// Allocation-free hit path, tried first for every datagram.  Accepts
+  /// only a plain query — QR=0, opcode QUERY, no EXT, one question with a
+  /// pointer-free qname, empty AN/NS/AR, nothing after the question —
+  /// whose (qname, qtype) entry is fresh.  It then answers exactly as
+  /// handle_client_query would and returns true; otherwise it returns
+  /// false having changed nothing.
+  bool try_fast_hit(const net::Endpoint& from, std::span<const uint8_t> data);
+
+  /// The owning serve path for a decoded client query: counts it, runs
+  /// the extension hook, answers from the cache or resolves, and sends.
+  void handle_client_query(const net::Endpoint& from,
+                           const dns::Message& request);
+
  private:
   struct Task {
     dns::Name qname;
@@ -138,8 +172,6 @@ class CachingResolver {
   };
 
   void on_datagram(const net::Endpoint& from, std::span<const uint8_t> data);
-  void handle_client_query(const net::Endpoint& from,
-                           const dns::Message& request);
   void handle_upstream_response(const net::Endpoint& from,
                                 const dns::Message& response);
 
@@ -160,6 +192,7 @@ class CachingResolver {
 
   struct Instruments {
     metrics::Counter client_queries;
+    metrics::Counter fast_hits;
     metrics::Counter upstream_queries;
     metrics::Counter retransmissions;
     metrics::Counter timeouts;
@@ -174,6 +207,7 @@ class CachingResolver {
   ResolverCache cache_;
   Extension* extension_ = nullptr;
   Instruments stats_;
+  std::vector<uint8_t> answer_arena_;  ///< try_fast_hit's reused encode buffer
 
   std::map<uint16_t, Task> tasks_;
   std::map<TaskKey, uint16_t> task_by_key_;

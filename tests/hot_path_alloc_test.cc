@@ -10,17 +10,27 @@
 // 3. The same through each real I/O backend: a serving worker's warm
 //    receive -> serve -> send_batch round over loopback sockets allocates
 //    nothing either.
+// 4. The cache side: a steady-state hit through CachingResolver +
+//    LeaseClient (CachingResolver::try_fast_hit) — positive, negative and
+//    leased entries, on the heap store and on MmapCacheStore — allocates
+//    nothing once every key's rate ring is full.
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "cachestore/mmap_store.h"
 #include "core/dnscup_authority.h"
+#include "core/lease_client.h"
 #include "dns/message.h"
 #include "dns/name.h"
 #include "net/endpoint.h"
@@ -29,6 +39,8 @@
 #include "net/transport.h"
 #include "runtime/shim_transport.h"
 #include "server/authoritative.h"
+#include "server/cache_store.h"
+#include "server/resolver.h"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
@@ -317,6 +329,88 @@ void backend_round_trip_allocates_nothing(net::IoBackendKind kind) {
 
 TEST(BackendRoundTrip, PortableIsAllocationFree) {
   backend_round_trip_allocates_nothing(net::IoBackendKind::kPortable);
+}
+
+/// Steady-state cache hits: one CachingResolver + LeaseClient, answering
+/// from a warm cache through on_datagram.
+void cache_hits_allocate_nothing(bool mmap) {
+  metrics::MetricsRegistry registry;
+  net::EventLoop loop(&registry);
+  CaptureTransport transport;
+  const net::Endpoint authority{net::make_ip(10, 0, 0, 53), 53};
+  const net::Endpoint client{net::make_ip(10, 0, 0, 99), 4000};
+  const std::string file =
+      "hot_path_alloc_test_" + std::to_string(::getpid()) + ".img";
+  CachingResolver::Config rc;
+  rc.metrics = &registry;
+  if (mmap) {
+    ::unlink(file.c_str());
+    cachestore::MmapCacheStore::Options so;
+    so.path = file;
+    so.file_bytes = 4u << 20;
+    so.metrics = &registry;
+    auto opened = cachestore::MmapCacheStore::open(std::move(so));
+    ASSERT_TRUE(opened.ok());
+    auto holder = std::make_shared<std::unique_ptr<CacheStoreBackend>>(
+        std::move(opened).value());
+    rc.cache_store = [holder] { return std::move(*holder); };
+  }
+  CachingResolver resolver(transport, loop, {authority}, rc);
+  core::LeaseClient::Config lc;
+  lc.metrics = &registry;
+  core::LeaseClient lease(resolver, lc);
+  ASSERT_EQ(resolver.cache().store().name(), mmap ? "mmap" : "heap");
+
+  dns::RRset www{mk("www.example.com"), RRType::kA, RRClass::kIN, 300, {}};
+  for (uint32_t i = 0; i < 4; ++i) {
+    www.add(dns::ARdata{dns::Ipv4{.addr = 0xC0000250u + i}});
+  }
+  resolver.cache().put(www, 0);
+  resolver.cache().put_negative(mk("missing.example.com"), RRType::kA,
+                                dns::Rcode::kNXDomain, 300, 0);
+  // The leased entry arrives the real way: a miss, then the authority's
+  // EXT answer granting a lease (which also records its lease metadata).
+  const auto leased_wire = query_wire("leased.example.com", RRType::kA);
+  transport.deliver(client, leased_wire);
+  auto upstream = Message::decode(transport.last());
+  ASSERT_TRUE(upstream.ok() && upstream.value().flags.ext);
+  Message granted = dns::make_response(upstream.value());
+  granted.flags.aa = true;
+  granted.llt = dns::llt_from_seconds(3600);
+  granted.answers.push_back(dns::ResourceRecord{
+      mk("leased.example.com"), RRClass::kIN, 60,
+      dns::ARdata{ip("192.0.2.99")}});
+  transport.deliver(authority, granted.encode());
+  ASSERT_EQ(lease.stats().leases_registered, 1u);
+
+  const std::vector<std::vector<uint8_t>> wires = {
+      query_wire("www.example.com", RRType::kA),
+      query_wire("missing.example.com", RRType::kA), leased_wire};
+  // Warm-up: every key past the rate tracker's 256-sample ring cap.
+  for (int i = 0; i < 300; ++i) {
+    for (const auto& wire : wires) transport.deliver(client, wire);
+  }
+  for (const auto& wire : wires) {
+    const uint64_t fast_before = resolver.stats().fast_hits;
+    const uint64_t sends_before = transport.sends();
+    const uint64_t allocs_before = g_allocs.load();
+    for (int i = 0; i < 1000; ++i) transport.deliver(client, wire);
+    const uint64_t allocs_after = g_allocs.load();
+    EXPECT_EQ(transport.sends(), sends_before + 1000);
+    EXPECT_EQ(resolver.stats().fast_hits, fast_before + 1000);
+    EXPECT_EQ(allocs_after - allocs_before, 0u)
+        << (mmap ? "mmap" : "heap") << " cache hit allocated for "
+        << Message::decode(wire).value().questions[0].qname.to_string();
+  }
+  if (mmap) ::unlink(file.c_str());
+}
+
+TEST(CacheHit, HeapStoreIsAllocationFree) {
+  cache_hits_allocate_nothing(false);
+}
+
+TEST(CacheHit, MmapStoreIsAllocationFree) {
+  cache_hits_allocate_nothing(true);
 }
 
 TEST(BackendRoundTrip, UringIsAllocationFree) {

@@ -1,16 +1,27 @@
 // Malformed-packet robustness: Message::decode (and the MessageView parse
 // underneath it) must reject hostile wire data with an error — never
-// crash, loop or read past the buffer.  Run under the DNSCUP_SANITIZE
-// build, where ASan turns any over-read into a hard failure.
+// crash, loop or read past the buffer.  The same holds for the cache's
+// serve path, whose fast hit parser (CachingResolver::try_fast_hit) reads
+// client datagrams in place: a seeded mutation loop drives mangled
+// queries through it.  Run under the DNSCUP_SANITIZE build, where ASan
+// turns any over-read into a hard failure.
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/lease_client.h"
 #include "dns/message.h"
 #include "dns/name.h"
 #include "dns/wire.h"
+#include "net/event_loop.h"
+#include "net/transport.h"
+#include "server/resolver.h"
+#include "util/rng.h"
 
 namespace dnscup::dns {
 namespace {
@@ -199,3 +210,156 @@ TEST(MalformedPacket, ViewMaterializesIdenticalToDecode) {
 
 }  // namespace
 }  // namespace dnscup::dns
+
+namespace dnscup::server {
+namespace {
+
+using dns::Message;
+using dns::Name;
+using dns::RRType;
+
+/// Keeps every datagram sent, for parsing afterwards.
+class KeepingTransport final : public net::Transport {
+ public:
+  const net::Endpoint& local_endpoint() const override { return local_; }
+  void send(const net::Endpoint&, std::span<const uint8_t> data) override {
+    sent.emplace_back(data.begin(), data.end());
+  }
+  void set_receive_handler(ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void deliver(const net::Endpoint& from, std::span<const uint8_t> data) {
+    handler_(from, data);
+  }
+
+  std::vector<std::vector<uint8_t>> sent;
+
+ private:
+  net::Endpoint local_{net::make_ip(10, 0, 0, 1), 53};
+  ReceiveHandler handler_;
+};
+
+Name mk(const char* text) { return Name::parse(text).value(); }
+
+std::vector<uint8_t> client_query(const char* qname, RRType qtype, bool rd,
+                                  bool ext) {
+  Message m;
+  m.id = 0x5151;
+  m.flags.rd = rd;
+  m.flags.ext = ext;
+  m.questions.push_back(dns::Question{mk(qname), qtype, dns::RRClass::kIN,
+                                      static_cast<uint16_t>(ext ? 40 : 0)});
+  return m.encode();
+}
+
+/// Offsets of the label-length octets of the name starting at `at`
+/// (stops at the root octet, a pointer or the end of the buffer).
+std::vector<std::size_t> label_offsets(const std::vector<uint8_t>& wire,
+                                       std::size_t at) {
+  std::vector<std::size_t> out;
+  while (at < wire.size()) {
+    out.push_back(at);
+    const uint8_t len = wire[at];
+    if (len == 0 || (len & 0xC0) != 0) break;
+    at += 1 + len;
+  }
+  return out;
+}
+
+TEST(MalformedClientQuery, SeededMutationsThroughResolverNeverMisbehave) {
+  metrics::MetricsRegistry registry;
+  net::EventLoop loop(&registry);
+  KeepingTransport transport;
+  const net::Endpoint authority{net::make_ip(10, 0, 0, 53), 53};
+  const net::Endpoint client{net::make_ip(10, 0, 0, 99), 4000};
+  CachingResolver::Config rc;
+  rc.metrics = &registry;
+  CachingResolver resolver(transport, loop, {authority}, rc);
+  core::LeaseClient::Config lc;
+  lc.metrics = &registry;
+  core::LeaseClient lease(resolver, lc);
+
+  // Warm entries the mutated names may still hit: positive, leased and
+  // negative, fresh for the whole run.
+  for (const char* name : {"www.example.com", "a.b.example.com", "x.org"}) {
+    dns::RRset set{mk(name), RRType::kA, dns::RRClass::kIN, 86400, {}};
+    set.add(dns::ARdata{dns::Ipv4{.addr = 0x0A000001}});
+    set.add(dns::ARdata{dns::Ipv4{.addr = 0x0A000002}});
+    resolver.cache().put(set, 0);
+  }
+  resolver.cache().set_lease(mk("x.org"), RRType::kA,
+                             LeaseState{net::hours(48), authority});
+  resolver.cache().put_negative(mk("nx.example.com"), RRType::kA,
+                                dns::Rcode::kNXDomain, 86400, 0);
+  resolver.cache().put_negative(mk("www.example.com"), RRType::kAAAA,
+                                dns::Rcode::kNoError, 86400, 0);
+
+  const std::vector<std::vector<uint8_t>> corpus = {
+      client_query("www.example.com", RRType::kA, true, false),
+      client_query("a.b.example.com", RRType::kA, false, false),
+      client_query("x.org", RRType::kA, true, false),
+      client_query("nx.example.com", RRType::kA, true, false),
+      client_query("www.example.com", RRType::kAAAA, true, false),
+      client_query("www.example.com", RRType::kA, true, true),
+      client_query("miss.example.net", RRType::kMX, true, false),
+  };
+
+  util::Rng rng(0xD15C0);
+  constexpr int kIterations = 20000;
+  std::size_t checked = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    std::vector<uint8_t> wire =
+        corpus[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int64_t>(corpus.size()) - 1))];
+    const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+    for (int m = 0; m < mutations && !wire.empty(); ++m) {
+      const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int64_t>(n) - 1));
+      };
+      const auto labels = label_offsets(wire, 12);
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // bit flip
+          wire[pick(wire.size())] ^=
+              static_cast<uint8_t>(1u << rng.uniform_int(0, 7));
+          break;
+        case 1:  // truncation
+          wire.resize(pick(wire.size()));
+          break;
+        case 2:  // corrupted label length
+          if (!labels.empty()) {
+            wire[labels[pick(labels.size())]] =
+                static_cast<uint8_t>(rng.uniform_int(0, 255));
+          }
+          break;
+        default:  // a compression pointer where a label starts
+          if (!labels.empty() && labels.back() + 1 < wire.size()) {
+            const std::size_t at = labels[pick(labels.size())];
+            wire[at] = static_cast<uint8_t>(0xC0 | rng.uniform_int(0, 0x3F));
+            wire[at + 1] = static_cast<uint8_t>(rng.uniform_int(0, 255));
+          }
+          break;
+      }
+    }
+    // An exactly sized heap copy: ASan flags any read past the datagram.
+    const std::size_t n = wire.size();
+    auto exact = std::make_unique<uint8_t[]>(n == 0 ? 1 : n);
+    if (n > 0) std::memcpy(exact.get(), wire.data(), n);
+    transport.deliver(client, std::span<const uint8_t>(exact.get(), n));
+
+    for (; checked < transport.sent.size(); ++checked) {
+      EXPECT_TRUE(Message::decode(transport.sent[checked]).ok())
+          << "iteration " << iter << " sent an unparsable datagram";
+    }
+    // Let pending upstream tasks time out so the query-id space never
+    // fills up.
+    if (iter % 256 == 255) loop.run_for(net::seconds(30));
+  }
+  // The mutations leave plenty of plain hits (ID and RD flips): the fast
+  // parser was exercised, not just bypassed.
+  EXPECT_GT(resolver.stats().fast_hits, 0u);
+  EXPECT_GT(resolver.stats().client_queries, resolver.stats().fast_hits);
+}
+
+}  // namespace
+}  // namespace dnscup::server

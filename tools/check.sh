@@ -34,15 +34,21 @@
 #                  under TSan driven by dnsflood — the single-writer/
 #                  multi-reader table contract and the observation-queue
 #                  handoff under real load;
-#   --bench-smoke  Release build, assert the serve hot path is
-#                  allocation-free (hot_path_alloc_test), then start a
-#                  2-worker dnscupd on loopback, drive it with dnsflood
-#                  for 2 s and fail if the lost-answer rate exceeds 1%;
-#                  the JSON result is kept under build/bench/.
+#   --bench-smoke  Release build, assert both daemons' serve hot paths
+#                  are allocation-free (hot_path_alloc_test: dnscupd's
+#                  query fast path and dnscached's cache-hit fast path),
+#                  then start a 2-worker dnscupd on loopback and drive it
+#                  with dnsflood for 2 s, then put a dnscached in front
+#                  of it and drive that for 2 s with plain queries over
+#                  200 names (every query after the first pass is a
+#                  hit); each flood fails on more than 1% lost answers or
+#                  none answered.  The JSON results are kept under
+#                  build/bench/.
 #   --wire-micro   Release build, run the wire encode/decode
-#                  microbenchmark; it self-fails if the arena encode or
-#                  view decode allocates in steady state.  JSON archived
-#                  under build/bench/.
+#                  microbenchmark with its cache-hit and zone-lookup
+#                  rows; it self-fails if the arena encode, the view
+#                  decode or a cache hit allocates in steady state.  JSON
+#                  archived under build/bench/.
 #   --io-matrix    run the unit + sim + e2e suite once per datagram I/O
 #                  backend (DNSCUP_IO_BACKEND=portable, then =uring).
 #                  The uring leg probes kernel support first (dnsflood
@@ -178,18 +184,36 @@ run_wire_micro() {
   echo "wire micro ok; result archived at $build_dir/bench/wire-micro.json"
 }
 
+# Fails when a dnsflood result lost more than 1% of its answered-or-
+# timed-out queries, or answered none.
+check_flood() {
+  python3 - "$1" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    result = json.load(f)
+loss = result["loss_rate"]
+print(f"achieved {result['achieved_qps']:.0f} q/s, "
+      f"p99 {result['p99_us']} us, loss {100 * loss:.3f}%")
+if loss > 0.01:
+    sys.exit(f"FAIL: loss rate {loss:.4f} exceeds 1%")
+if result["answered"] == 0:
+    sys.exit("FAIL: no queries answered")
+EOF
+}
+
 run_bench_smoke() {
-  echo "== serving-runtime load smoke (2 workers, 2 s) =="
+  echo "== serving-runtime load smoke (dnscupd, then dnscached; 2 s each) =="
   local build_dir="$repo_root/build"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j "$jobs" \
-    --target dnscupd dnsflood hot_path_alloc_test
+    --target dnscupd dnscached dnsflood hot_path_alloc_test
   local bench_dir="$build_dir/bench"
   mkdir -p "$bench_dir"
 
-  # Steady-state serving must not touch the heap: the counting-allocator
-  # suite fails if any serve-path query allocates after warmup.
-  echo "-- hot-path allocation contract --"
+  # Steady-state serving must not touch the heap on either daemon: the
+  # counting-allocator suite fails if an authority query or a cache hit
+  # allocates after warm-up.
+  echo "-- hot-path allocation contract (dnscupd and dnscached) --"
   ctest --test-dir "$build_dir" -R '^hot_path_alloc_test$' \
     --output-on-failure
 
@@ -205,39 +229,48 @@ run_bench_smoke() {
   } > "$zone"
 
   local port=$(( 20000 + RANDOM % 10000 ))
+  local cache_port=$(( port + 1 ))
+  local cache=""
   "$build_dir/tools/dnscupd" --port "$port" \
     --zone "example.com=$zone" --workers 2 \
     > "$bench_dir/smoke-dnscupd.log" 2>&1 &
   local daemon=$!
-  trap 'kill "$daemon" 2>/dev/null || true' RETURN
+  trap 'kill "$daemon" $cache 2>/dev/null || true' RETURN
   sleep 0.5
   kill -0 "$daemon" || {
     echo "dnscupd failed to start:"; cat "$bench_dir/smoke-dnscupd.log"
     return 1
   }
 
+  echo "-- dnscupd --"
   local out="$bench_dir/smoke-flood.json"
   "$build_dir/tools/dnsflood" --server "127.0.0.1:$port" --duration 2 \
     --sockets 4 --concurrency 16 --names 200 --workers-label 2 \
     --out "$out"
-  kill -TERM "$daemon" 2>/dev/null || true
-  wait "$daemon" 2>/dev/null || true
+  check_flood "$out"
 
-  # Fail the smoke when more than 1% of answered-or-timed-out queries
-  # were lost.
-  python3 - "$out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    result = json.load(f)
-loss = result["loss_rate"]
-print(f"achieved {result['achieved_qps']:.0f} q/s, "
-      f"p99 {result['p99_us']} us, loss {100 * loss:.3f}%")
-if loss > 0.01:
-    sys.exit(f"FAIL: loss rate {loss:.4f} exceeds 1%")
-if result["answered"] == 0:
-    sys.exit("FAIL: no queries answered")
-EOF
-  echo "bench smoke ok; result archived at $out"
+  # The cache side over real sockets: plain queries (no EXT) over the
+  # zone's 200 names, so after the first pass every query is a cache hit
+  # answered by dnscached's fast path.
+  echo "-- dnscached in front of dnscupd --"
+  "$build_dir/tools/dnscached" --port "$cache_port" \
+    --upstream "127.0.0.1:$port" --workers 1 \
+    > "$bench_dir/smoke-dnscached.log" 2>&1 &
+  cache=$!
+  sleep 0.5
+  kill -0 "$cache" || {
+    echo "dnscached failed to start:"; cat "$bench_dir/smoke-dnscached.log"
+    return 1
+  }
+  local cache_out="$bench_dir/smoke-cache-flood.json"
+  "$build_dir/tools/dnsflood" --server "127.0.0.1:$cache_port" --duration 2 \
+    --sockets 4 --concurrency 16 --names 200 --lease-fraction 0 \
+    --workers-label 1 --out "$cache_out"
+  kill -TERM "$cache" "$daemon" 2>/dev/null || true
+  wait "$cache" 2>/dev/null || true
+  wait "$daemon" 2>/dev/null || true
+  check_flood "$cache_out"
+  echo "bench smoke ok; results archived at $out and $cache_out"
 }
 
 run_planner() {
