@@ -219,6 +219,16 @@ util::Result<std::unique_ptr<CacheRuntime>> CacheRuntime::start(
                   key.name, key.type,
                   static_cast<uint64_t>(entry.lease->expiry)});
             });
+        // One SUBSCRIBE frame carries the announcement (the most
+        // recently used first); survivors it cannot hold could never be
+        // re-adopted, so they demote before the worker serves them.
+        const std::size_t fit =
+            push::survivors_per_subscribe(box->survivors);
+        for (std::size_t k = fit; k < box->survivors.size(); ++k) {
+          worker.lease_client->reject_readoption(box->survivors[k].name,
+                                                 box->survivors[k].type);
+        }
+        box->survivors.resize(fit);
         if (!box->survivors.empty()) {
           pc.survivors = [box] {
             std::lock_guard<std::mutex> lock(box->mu);

@@ -24,25 +24,24 @@ namespace dnscup::cachestore {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'N', 'S', 'C', 'U', 'P', 'C', '1'};
-constexpr uint32_t kFormatVersion = 1;
+/// Version 1 placed slots by key hash; version 2 allocates them from the
+/// front of the table and carries no key hash.
+constexpr uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 4096;
 constexpr std::size_t kSlotBytes = 512;
 constexpr std::size_t kMinFileBytes = 1ull << 20;
 constexpr std::size_t kMinSlots = 64;
-/// RRType sentinel marking a zone-serial slot's probe identity; real
-/// record types never reach 0xFFFF in this codebase.
-constexpr uint16_t kZoneType = 0xFFFF;
 
 // Fixed in-slot byte layout.  The LRU tick lives OUTSIDE the CRC-covered
 // range so touch() — the per-cache-hit path — is a single uncheck-summed
 // u64 store; a torn tick only perturbs warm-reload LRU order, never data.
-constexpr std::size_t kNameOffset = 80;        // after SlotHeader
+constexpr std::size_t kNameOffset = 64;        // after SlotHeader
 constexpr std::size_t kMaxNameText = 255;
 constexpr std::size_t kTickOffset = 496;       // u64, not CRC-covered
 constexpr std::size_t kSlotCrcOffset = 508;    // u32 over [0, 496)
 
 enum SlotState : uint32_t {
-  kFree = 0,
+  kFree = 0,  ///< never used since the image was reset; ends every scan
   kUsed = 1,
   kDead = 2,
   kZone = 3,
@@ -67,7 +66,6 @@ constexpr std::size_t kHeaderCrcOffset = offsetof(FileHeader, crc);
 struct SlotHeader {
   uint32_t state;
   uint32_t slab_crc;
-  uint64_t key_hash;
   int64_t inserted_at;
   int64_t expiry;
   int64_t lease_expiry;
@@ -82,7 +80,7 @@ struct SlotHeader {
   uint8_t negative;
   uint8_t negative_rcode;
   uint8_t has_lease;
-  uint8_t pad[9];
+  uint8_t pad;
 };
 static_assert(sizeof(SlotHeader) == kNameOffset);
 static_assert(std::is_trivially_copyable_v<SlotHeader>);
@@ -93,13 +91,17 @@ int64_t realtime_us() {
   return int64_t{ts.tv_sec} * 1'000'000 + ts.tv_nsec / 1'000;
 }
 
+util::Error io_error(const char* what) {
+  return util::make_error(util::ErrorCode::kIo,
+                          std::string(what) + ": " + std::strerror(errno));
+}
+
 /// A name's slot text — its lower-cased presentation form, "." for the
 /// root — written into `buf` without allocating.  Empty when the text
 /// would not fit a slot.
 using NameText = std::array<char, kMaxNameText + 1>;
 
-template <typename NameT>
-std::string_view name_text(const NameT& name, NameText& buf) {
+std::string_view name_text(const dns::Name& name, NameText& buf) {
   if (name.is_root()) return ".";
   std::size_t len = 0;
   for (std::size_t i = 0; i < name.label_count(); ++i) {
@@ -114,13 +116,14 @@ std::string_view name_text(const NameT& name, NameText& buf) {
   return {buf.data(), len};
 }
 
-uint64_t zone_slot_hash(const dns::Name& zone) {
-  return server::CacheKeyHash{}(
-      server::CacheKey{zone, static_cast<dns::RRType>(kZoneType)});
-}
-
 uint32_t slot_crc(const uint8_t* slot) {
   return util::crc32({slot, kTickOffset});
+}
+
+/// Stores the slot's CRC over its current bytes.
+void seal(uint8_t* slot) {
+  const uint32_t crc = slot_crc(slot);
+  std::memcpy(slot + kSlotCrcOffset, &crc, sizeof crc);
 }
 
 }  // namespace
@@ -166,23 +169,16 @@ util::Result<std::unique_ptr<MmapCacheStore>> MmapCacheStore::open(
                                 std::strerror(errno));
   }
   struct stat st{};
-  if (::fstat(store->fd_, &st) != 0) {
-    return util::make_error(util::ErrorCode::kIo,
-                            "fstat: " + std::string(std::strerror(errno)));
-  }
+  if (::fstat(store->fd_, &st) != 0) return io_error("fstat");
   const std::size_t target =
       std::max(store->options_.file_bytes, kMinFileBytes);
   const auto existing = static_cast<std::size_t>(st.st_size);
   if (existing != target && ::ftruncate(store->fd_, target) != 0) {
-    return util::make_error(util::ErrorCode::kIo,
-                            "ftruncate: " + std::string(std::strerror(errno)));
+    return io_error("ftruncate");
   }
   void* map = ::mmap(nullptr, target, PROT_READ | PROT_WRITE, MAP_SHARED,
                      store->fd_, 0);
-  if (map == MAP_FAILED) {
-    return util::make_error(util::ErrorCode::kIo,
-                            "mmap: " + std::string(std::strerror(errno)));
-  }
+  if (map == MAP_FAILED) return io_error("mmap");
   store->map_ = static_cast<uint8_t*>(map);
   store->file_bytes_ = target;
 
@@ -195,38 +191,40 @@ util::Result<std::unique_ptr<MmapCacheStore>> MmapCacheStore::open(
   store->slab_bytes_ = target - store->slab_off_;
   store->file_bytes_gauge_.set(static_cast<double>(target));
 
+  util::Status status;
   if (existing == 0) {
-    store->cold_init("fresh file", wall_now);
+    status = store->cold_init("fresh file", wall_now);
   } else if (existing != target) {
-    store->cold_init("size mismatch", wall_now);
+    status = store->cold_init("size mismatch", wall_now);
   } else {
     FileHeader hdr{};
     std::memcpy(&hdr, store->map_, sizeof hdr);
     const uint32_t want_crc =
         util::crc32({store->map_, kHeaderCrcOffset});
     if (std::memcmp(hdr.magic, kMagic, sizeof kMagic) != 0) {
-      store->cold_init("bad magic", wall_now);
+      status = store->cold_init("bad magic", wall_now);
     } else if (hdr.version != kFormatVersion) {
-      store->cold_init("bad version", wall_now);
+      status = store->cold_init("bad version", wall_now);
     } else if (hdr.crc != want_crc) {
-      store->cold_init("bad header crc", wall_now);
+      status = store->cold_init("bad header crc", wall_now);
     } else if (hdr.slot_bytes != kSlotBytes ||
                hdr.slot_count != store->slot_count_ ||
                hdr.slab_bytes != store->slab_bytes_ ||
                hdr.file_bytes != target ||
                hdr.slab_used > hdr.slab_bytes) {
-      store->cold_init("bad geometry", wall_now);
+      status = store->cold_init("bad geometry", wall_now);
     } else {
       store->slab_used_ = hdr.slab_used;
       store->wall_epoch_us_ = hdr.wall_epoch_us;
-      store->load_image(wall_now);
+      status = store->load_image(wall_now);
     }
   }
+  if (!status.ok()) return status.error();
   return store;
 }
 
-uint8_t* MmapCacheStore::slot_ptr(std::size_t index) const {
-  return map_ + kHeaderBytes + index * kSlotBytes;
+uint8_t* MmapCacheStore::slot_ptr(uint32_t index) const {
+  return map_ + kHeaderBytes + std::size_t{index} * kSlotBytes;
 }
 
 void MmapCacheStore::write_header() {
@@ -244,26 +242,37 @@ void MmapCacheStore::write_header() {
   std::memcpy(map_ + kHeaderCrcOffset, &crc, sizeof crc);
 }
 
-void MmapCacheStore::reset_image(int64_t wall_now) {
-  std::memset(map_ + kHeaderBytes, 0, slot_count_ * kSlotBytes);
+util::Status MmapCacheStore::reset_image(int64_t wall_now) {
+  // Truncating to zero and back drops every page of the old image
+  // without writing one: the whole table reads as never-used slots
+  // again, and a page costs memory only once a slot or slab byte lands
+  // in it.  The mapping stays valid across both calls.
+  if (::ftruncate(fd_, 0) != 0 ||
+      ::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
+    return io_error("ftruncate");
+  }
   slab_used_ = 0;
   slots_used_ = 0;
   lru_tick_ = 0;
+  next_slot_ = 0;
+  free_slots_.clear();
   // Anchor: wall_now corresponds to the adopting runtime's options_.now,
   // so SimTime 0 maps to wall_now - now.
   wall_epoch_us_ = wall_now - options_.now;
   write_header();
   slots_used_gauge_.set(0);
+  return util::Status::ok_status();
 }
 
-void MmapCacheStore::cold_init(const std::string& reason, int64_t wall_now) {
-  reset_image(wall_now);
+util::Status MmapCacheStore::cold_init(const std::string& reason,
+                                       int64_t wall_now) {
   load_.cold = true;
   load_.cold_reason = reason;
   ++cold_starts_;
+  return reset_image(wall_now);
 }
 
-void MmapCacheStore::load_image(int64_t wall_now) {
+util::Status MmapCacheStore::load_image(int64_t wall_now) {
   // Every persisted SimTime is in the *writer's* clock.  Its wall time is
   // old_epoch + t; in the adopting runtime's clock that instant is
   // t - delta with delta = new_epoch - old_epoch — which includes exactly
@@ -277,12 +286,14 @@ void MmapCacheStore::load_image(int64_t wall_now) {
     uint64_t tick = 0;
   };
   std::vector<Loaded> loaded;
-  std::vector<std::pair<dns::Name, uint32_t>> zones;
 
-  for (std::size_t i = 0; i < slot_count_; ++i) {
+  // Used slots form a prefix of the table: the first never-used slot
+  // ends the scan, so a load reads no page past the last record.
+  for (uint32_t i = 0; i < slot_count_; ++i) {
     const uint8_t* slot = slot_ptr(i);
     SlotHeader sh{};
     std::memcpy(&sh, slot, sizeof sh);
+    if (sh.state == kFree) break;
     if (sh.state != kUsed && sh.state != kZone) continue;
     uint32_t stored_crc = 0;
     std::memcpy(&stored_crc, slot + kSlotCrcOffset, sizeof stored_crc);
@@ -300,7 +311,7 @@ void MmapCacheStore::load_image(int64_t wall_now) {
     }
 
     if (sh.state == kZone) {
-      zones.emplace_back(std::move(name).value(), sh.ttl);
+      zone_serials_[std::move(name).value()].serial = sh.ttl;
       ++load_.zones_loaded;
       continue;
     }
@@ -361,19 +372,17 @@ void MmapCacheStore::load_image(int64_t wall_now) {
         std::move(entry), tick});
   }
 
-  // Adopt into the heap structures in LRU-tick order: pushing each entry
-  // to the LRU front in ascending-tick order leaves the most recently
-  // used entry at the front, reproducing the pre-restart eviction order.
+  // Adopt into the heap map in LRU-tick order: each insert lands at the
+  // LRU front, so ascending ticks leave the most recently used entry at
+  // the front, reproducing the pre-restart eviction order.
   std::stable_sort(loaded.begin(), loaded.end(),
                    [](const Loaded& a, const Loaded& b) {
                      return a.tick < b.tick;
                    });
   for (Loaded& item : loaded) {
-    lru_.push_front(item.key);
-    entries_.emplace(std::move(item.key),
-                     Node{std::move(item.entry), lru_.begin()});
+    bool inserted = false;
+    upsert(item.key, inserted) = std::move(item.entry);
   }
-  for (auto& [zone, serial] : zones) zone_serials_[zone] = serial;
 
   load_.cold = false;
   load_.warm_entries = entries_.size();
@@ -382,46 +391,63 @@ void MmapCacheStore::load_image(int64_t wall_now) {
 
   // Rewrite the image against the new epoch: all later commits stamp
   // new-clock times, so the old-epoch slots must not survive alongside
-  // them.  The rewrite also compacts the slab and clears tombstones.
-  reset_image(wall_now);
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    persist_entry(*it, entries_.at(*it));
+  // them.  The rewrite also compacts the slab and clears tombstones;
+  // writing least recent first gives the slots ascending ticks again.
+  if (auto status = reset_image(wall_now); !status.ok()) return status;
+  for (Node* node = least_recent_; node != nullptr; node = node->newer) {
+    persist(*node);
   }
-  for (const auto& [zone, serial] : zone_serials_) {
-    persist_zone(zone, serial);
-  }
+  for (auto& [zone, record] : zone_serials_) persist_zone(zone, record);
+  return util::Status::ok_status();
 }
 
-std::size_t MmapCacheStore::probe(uint64_t key_hash, uint32_t want_state,
-                                  std::string_view name_text, uint16_t rrtype,
-                                  std::size_t* insert_at) const {
-  const std::size_t mask = slot_count_ - 1;
-  bool have_insert = false;
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    const std::size_t idx = (key_hash + i) & mask;
-    const uint8_t* slot = slot_ptr(idx);
-    SlotHeader sh{};
-    std::memcpy(&sh, slot, sizeof sh);
-    if (sh.state == kFree) {
-      if (insert_at != nullptr && !have_insert) *insert_at = idx;
-      return slot_count_;
-    }
-    if (sh.state == kDead) {
-      if (insert_at != nullptr && !have_insert) {
-        *insert_at = idx;
-        have_insert = true;
-      }
-      continue;
-    }
-    if (sh.state == want_state && sh.key_hash == key_hash &&
-        sh.rrtype == rrtype && sh.name_len == name_text.size() &&
-        std::memcmp(slot + kNameOffset, name_text.data(),
-                    name_text.size()) == 0) {
-      return idx;
-    }
+uint32_t MmapCacheStore::alloc_slot() {
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
   }
-  if (insert_at != nullptr && !have_insert) *insert_at = slot_count_;
-  return slot_count_;
+  if (next_slot_ < slot_count_) return next_slot_++;
+  return kNoSlot;
+}
+
+void MmapCacheStore::release_slot(uint32_t* slot) {
+  if (*slot == kNoSlot) return;
+  // Re-sealed as dead, so no bit flip of the state alone can revive the
+  // old record with a matching CRC.
+  const uint32_t dead = kDead;
+  std::memcpy(slot_ptr(*slot), &dead, sizeof dead);
+  seal(slot_ptr(*slot));
+  free_slots_.push_back(*slot);
+  *slot = kNoSlot;
+  --slots_used_;
+  slots_used_gauge_.set(static_cast<double>(slots_used_));
+}
+
+bool MmapCacheStore::write_slot(uint32_t* slot, std::span<uint8_t> image) {
+  uint64_t tick = 0;
+  if (*slot == kNoSlot) {
+    *slot = alloc_slot();
+    if (*slot == kNoSlot) return false;
+    tick = ++lru_tick_;
+    ++slots_used_;
+    slots_used_gauge_.set(static_cast<double>(slots_used_));
+  } else {
+    std::memcpy(&tick, slot_ptr(*slot) + kTickOffset, sizeof tick);
+  }
+  std::memcpy(image.data() + kTickOffset, &tick, sizeof tick);
+  seal(image.data());
+  std::memcpy(slot_ptr(*slot), image.data(), kSlotBytes);
+  return true;
+}
+
+void MmapCacheStore::to_front(Node& node) {
+  HeapCacheStore::to_front(node);
+  if (node.slot == kNoSlot) return;
+  // Outside the CRC-covered range by design: the per-hit cost is one
+  // u64 store, no checksum recomputation.
+  const uint64_t tick = ++lru_tick_;
+  std::memcpy(slot_ptr(node.slot) + kTickOffset, &tick, sizeof tick);
 }
 
 bool MmapCacheStore::slab_append(std::span<const uint8_t> payload,
@@ -440,12 +466,12 @@ bool MmapCacheStore::slab_append(std::span<const uint8_t> payload,
 
 void MmapCacheStore::compact_slab() {
   struct Region {
-    std::size_t slot;
+    uint32_t slot;
     uint64_t off;
     uint32_t len;
   };
   std::vector<Region> regions;
-  for (std::size_t i = 0; i < slot_count_; ++i) {
+  for (uint32_t i = 0; i < next_slot_; ++i) {
     SlotHeader sh{};
     std::memcpy(&sh, slot_ptr(i), sizeof sh);
     if (sh.state == kUsed && sh.slab_len > 0) {
@@ -459,15 +485,8 @@ void MmapCacheStore::compact_slab() {
     if (r.off != used) {
       std::memmove(map_ + slab_off_ + used, map_ + slab_off_ + r.off, r.len);
       uint8_t* slot = slot_ptr(r.slot);
-      std::array<uint8_t, kSlotBytes> image;
-      std::memcpy(image.data(), slot, kSlotBytes);
-      SlotHeader sh{};
-      std::memcpy(&sh, image.data(), sizeof sh);
-      sh.slab_off = used;
-      std::memcpy(image.data(), &sh, sizeof sh);
-      const uint32_t crc = slot_crc(image.data());
-      std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-      write_slot(r.slot, image);
+      std::memcpy(slot + offsetof(SlotHeader, slab_off), &used, sizeof used);
+      seal(slot);
     }
     used += r.len;
   }
@@ -476,64 +495,32 @@ void MmapCacheStore::compact_slab() {
   ++compactions_;
 }
 
-void MmapCacheStore::write_slot(std::size_t index,
-                                std::span<const uint8_t> image) {
-  std::memcpy(slot_ptr(index), image.data(), kSlotBytes);
-}
-
-void MmapCacheStore::kill_slot(std::size_t index) {
-  uint8_t* slot = slot_ptr(index);
-  std::array<uint8_t, kSlotBytes> image;
-  std::memcpy(image.data(), slot, kSlotBytes);
-  SlotHeader sh{};
-  std::memcpy(&sh, image.data(), sizeof sh);
-  sh.state = kDead;
-  std::memcpy(image.data(), &sh, sizeof sh);
-  const uint32_t crc = slot_crc(image.data());
-  std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-  write_slot(index, image);
-  if (slots_used_ > 0) --slots_used_;
-  slots_used_gauge_.set(static_cast<double>(slots_used_));
-}
-
-void MmapCacheStore::persist_entry(const server::CacheKey& key,
-                                   const server::CacheEntry& entry) {
+void MmapCacheStore::persist(Node& node) {
   NameText buf;
-  const std::string_view text = name_text(key.name, buf);
+  const std::string_view text = name_text(node.key->name, buf);
   if (text.empty()) return;
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  const auto rrtype = static_cast<uint16_t>(key.type);
-
-  std::size_t insert_at = slot_count_;
-  const std::size_t existing = probe(hash, kUsed, text, rrtype, &insert_at);
-  const std::size_t target = existing != slot_count_ ? existing : insert_at;
-  if (target == slot_count_) {
-    ++persist_failed_table_;
-    return;
-  }
 
   SlotHeader sh{};
   sh.state = kUsed;
-  sh.key_hash = hash;
-  sh.inserted_at = entry.inserted_at;
-  sh.expiry = entry.expiry;
-  sh.ttl = entry.rrset.ttl;
+  sh.inserted_at = node.inserted_at;
+  sh.expiry = node.expiry;
+  sh.ttl = node.rrset.ttl;
   sh.name_len = static_cast<uint16_t>(text.size());
-  sh.rrtype = rrtype;
-  sh.rrclass = static_cast<uint16_t>(entry.rrset.rrclass);
-  sh.negative = entry.negative ? 1 : 0;
-  sh.negative_rcode = static_cast<uint8_t>(entry.negative_rcode);
-  if (entry.lease.has_value()) {
+  sh.rrtype = static_cast<uint16_t>(node.key->type);
+  sh.rrclass = static_cast<uint16_t>(node.rrset.rrclass);
+  sh.negative = node.negative ? 1 : 0;
+  sh.negative_rcode = static_cast<uint8_t>(node.negative_rcode);
+  if (node.lease.has_value()) {
     sh.has_lease = 1;
-    sh.lease_expiry = entry.lease->expiry;
-    sh.lease_ip = entry.lease->authority.ip;
-    sh.lease_port = entry.lease->authority.port;
+    sh.lease_expiry = node.lease->expiry;
+    sh.lease_ip = node.lease->authority.ip;
+    sh.lease_port = node.lease->authority.port;
   }
 
-  if (!entry.negative && !entry.rrset.empty()) {
+  if (!node.negative && !node.rrset.empty()) {
     dns::ByteWriter writer;
     writer.begin_message();
-    dns::encode_rrset(entry.rrset, writer);
+    dns::encode_rrset(node.rrset, writer);
     const std::span<const uint8_t> payload = writer.message();
     uint64_t off = 0;
     if (!slab_append(payload, &off)) {
@@ -541,7 +528,7 @@ void MmapCacheStore::persist_entry(const server::CacheKey& key,
       // If a previous image of it exists, kill that image — serving a
       // stale persisted copy after a restart would be worse than a miss.
       ++persist_failed_slab_;
-      if (existing != slot_count_) kill_slot(existing);
+      release_slot(&node.slot);
       return;
     }
     sh.slab_off = off;
@@ -552,98 +539,38 @@ void MmapCacheStore::persist_entry(const server::CacheKey& key,
   std::array<uint8_t, kSlotBytes> image{};
   std::memcpy(image.data(), &sh, sizeof sh);
   std::memcpy(image.data() + kNameOffset, text.data(), text.size());
-  const uint64_t tick = ++lru_tick_;
-  std::memcpy(image.data() + kTickOffset, &tick, sizeof tick);
-  const uint32_t crc = slot_crc(image.data());
-  std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-  write_slot(target, image);
-  if (existing == slot_count_) {
-    ++slots_used_;
-    slots_used_gauge_.set(static_cast<double>(slots_used_));
-  }
+  if (!write_slot(&node.slot, image)) ++persist_failed_table_;
 }
 
-void MmapCacheStore::persist_zone(const dns::Name& zone, uint32_t serial) {
+void MmapCacheStore::persist_zone(const dns::Name& zone, ZoneSerial& record) {
   NameText buf;
   const std::string_view text = name_text(zone, buf);
   if (text.empty()) return;
-  const uint64_t hash = zone_slot_hash(zone);
-
-  std::size_t insert_at = slot_count_;
-  const std::size_t existing = probe(hash, kZone, text, kZoneType, &insert_at);
-  const std::size_t target = existing != slot_count_ ? existing : insert_at;
-  if (target == slot_count_) {
-    ++persist_failed_table_;
-    return;
-  }
-
   SlotHeader sh{};
   sh.state = kZone;
-  sh.key_hash = hash;
-  sh.ttl = serial;
+  sh.ttl = record.serial;
   sh.name_len = static_cast<uint16_t>(text.size());
-  sh.rrtype = kZoneType;
-
   std::array<uint8_t, kSlotBytes> image{};
   std::memcpy(image.data(), &sh, sizeof sh);
   std::memcpy(image.data() + kNameOffset, text.data(), text.size());
-  const uint32_t crc = slot_crc(image.data());
-  std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-  write_slot(target, image);
-  if (existing == slot_count_) {
-    ++slots_used_;
-    slots_used_gauge_.set(static_cast<double>(slots_used_));
-  }
+  if (!write_slot(&record.slot, image)) ++persist_failed_table_;
 }
 
 void MmapCacheStore::commit(const server::CacheKey& key) {
-  const server::CacheEntry* entry = HeapCacheStore::find(key);
-  if (entry == nullptr) return;
-  persist_entry(key, *entry);
+  if (Node* node = find_node(key)) persist(*node);
 }
 
 bool MmapCacheStore::erase(const server::CacheKey& key) {
-  NameText buf;
-  const std::string_view text = name_text(key.name, buf);
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  if (!HeapCacheStore::erase(key)) return false;
-  const std::size_t idx = probe(hash, kUsed, text,
-                                static_cast<uint16_t>(key.type), nullptr);
-  if (idx != slot_count_) kill_slot(idx);
-  return true;
-}
-
-void MmapCacheStore::touch(const server::CacheKey& key) {
-  HeapCacheStore::touch(key);
-  NameText buf;
-  touch_slot(server::CacheKeyHash{}(key), name_text(key.name, buf), key.type);
-}
-
-void MmapCacheStore::touch(const server::CacheKeyView& key,
-                           server::CacheEntry& entry) {
-  HeapCacheStore::touch(key, entry);
-  NameText buf;
-  touch_slot(key.hash, name_text(key.name, buf), key.type);
-}
-
-void MmapCacheStore::touch_slot(uint64_t key_hash, std::string_view text,
-                                dns::RRType type) {
-  const std::size_t idx =
-      probe(key_hash, kUsed, text, static_cast<uint16_t>(type), nullptr);
-  if (idx == slot_count_) return;
-  // Outside the CRC-covered range by design: the per-hit cost is one
-  // probe plus one u64 store, no checksum recomputation.
-  const uint64_t tick = ++lru_tick_;
-  std::memcpy(slot_ptr(idx) + kTickOffset, &tick, sizeof tick);
+  Node* node = find_node(key);
+  if (node == nullptr) return false;
+  release_slot(&node->slot);
+  return HeapCacheStore::erase(key);
 }
 
 void MmapCacheStore::put_zone_serial(const dns::Name& zone, uint32_t serial) {
-  HeapCacheStore::put_zone_serial(zone, serial);
-  persist_zone(zone, serial);
-}
-
-void MmapCacheStore::flush() {
-  if (map_ != nullptr) ::msync(map_, file_bytes_, MS_ASYNC);
+  ZoneSerial& record = zone_serials_[zone];
+  record.serial = serial;
+  persist_zone(zone, record);
 }
 
 }  // namespace dnscup::cachestore

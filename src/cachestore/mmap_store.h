@@ -1,25 +1,26 @@
 // Mmap-backed persistent cache store: the dnsforwarder-style "cache file"
 // adapted to the ResolverCache storage seam (server/cache_store.h).
 //
-// The store *serves* from the inherited heap structures — lookups, LRU
-// order and eviction behave exactly like HeapCacheStore, which is what the
+// The store *serves* from the inherited heap map — lookups, LRU order and
+// eviction behave exactly like HeapCacheStore, which is what the
 // backend-equivalence tests assert — and mirrors every committed mutation
 // into a memory-mapped file image:
 //
 //   [ header page, 4 KiB ]   magic, version, geometry, slab bump pointer,
 //                            wall-clock epoch, CRC
-//   [ slot table ]           slot_count × 512 B fixed slots, open-addressed
-//                            (linear probing) on the splitmix64-mixed
-//                            CacheKeyHash; each slot carries the entry's
-//                            metadata + name text, a CRC over everything
-//                            but the LRU tick, and a (offset, length, CRC)
-//                            reference into the slab
+//   [ slot table ]           slot_count × 512 B fixed slots, handed out
+//                            from the front; each slot carries the
+//                            entry's metadata + name text, a CRC over
+//                            everything but the LRU tick, and a (offset,
+//                            length, CRC) reference into the slab
 //   [ slab arena ]           bump-allocated RRset wire data — the PR-4
 //                            ByteWriter encode path (encode_rrset), one
 //                            self-contained message per entry
 //
-// Zone serials ride in the same slot table as state=kZone slots, so the
-// "highest serial applied" sidecar survives restarts too.
+// The heap map is the only index: each node records its slot, so commit,
+// erase and touch go straight to it.  Killed slots are reused first, so
+// the used slots form a prefix and the first never-used one ends every
+// scan.  Zone serials ride in the same table as state=kZone slots.
 //
 // open() validates magic/version/geometry/CRC and falls back to a clean
 // cold image on any mismatch; on a valid image it adopts every intact
@@ -27,8 +28,10 @@
 // persisted epoch maps the writing process's SimTime 0 to CLOCK_REALTIME;
 // the delta between epochs is exactly the time the cache was down), then
 // rewrites the image fresh against the new epoch — which also compacts
-// the slab and clears tombstones.  Torn slots (a kill -9 mid-memcpy)
-// simply fail their CRC and are dropped.
+// the slab and clears tombstones.  A cold start and that rewrite drop
+// the old image by truncating the file to zero and back, never writing
+// the whole table.  Torn slots (a kill -9 mid-memcpy) simply fail their
+// CRC and are dropped.
 //
 // Single-threaded like the rest of a worker's cache stack: one store per
 // worker, one file per shard (dnscached names them cache-shard-<i>).
@@ -38,6 +41,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "server/cache_store.h"
 #include "util/metrics.h"
@@ -91,60 +95,55 @@ class MmapCacheStore final : public server::HeapCacheStore {
   std::string_view name() const override { return "mmap"; }
   void commit(const server::CacheKey& key) override;
   bool erase(const server::CacheKey& key) override;
-  void touch(const server::CacheKey& key) override;
-  void touch(const server::CacheKeyView& key,
-             server::CacheEntry& entry) override;
   void put_zone_serial(const dns::Name& zone, uint32_t serial) override;
 
   const LoadReport& load_report() const { return load_; }
-  std::size_t file_bytes() const { return file_bytes_; }
   std::size_t slot_count() const { return slot_count_; }
   /// Slots holding a live entry or zone serial in the file image.
   std::size_t slots_used() const { return slots_used_; }
 
-  /// Asks the kernel to start writing dirty pages back (msync MS_ASYNC);
-  /// the destructor does a synchronous flush.
-  void flush();
-
  private:
   explicit MmapCacheStore(Options options);
 
-  /// Zeroes the slot table, re-anchors the wall epoch and rewrites the
-  /// header; used both for cold starts and for the post-load rewrite.
-  void reset_image(int64_t wall_now);
-  void cold_init(const std::string& reason, int64_t wall_now);
-  void load_image(int64_t wall_now);
+  /// Drops the old image without writing it (truncate to zero and back),
+  /// re-anchors the wall epoch and writes a fresh header; used both for
+  /// cold starts and for the post-load rewrite.
+  util::Status reset_image(int64_t wall_now);
+  util::Status cold_init(const std::string& reason, int64_t wall_now);
+  util::Status load_image(int64_t wall_now);
   void write_header();
 
-  uint8_t* slot_ptr(std::size_t index) const;
-  /// Probes for the slot holding `key_hash` + matching identity;
-  /// `insert_at` (may be null) receives the best insertion slot (first
-  /// dead/free seen).  Returns slot_count() when not found.
-  std::size_t probe(uint64_t key_hash, uint32_t want_state,
-                    std::string_view name_text, uint16_t rrtype,
-                    std::size_t* insert_at) const;
+  uint8_t* slot_ptr(uint32_t index) const;
+  /// A slot for a new record: a killed one if any, else the first
+  /// never-used one; kNoSlot when the table is full.
+  uint32_t alloc_slot();
+  /// Kills `*slot` (when set) for reuse and resets it to kNoSlot.
+  void release_slot(uint32_t* slot);
   /// Appends `payload` to the slab, compacting once if full.  Returns
   /// false (persist failure) when the slab cannot take it even compacted.
   bool slab_append(std::span<const uint8_t> payload, uint64_t* off);
   void compact_slab();
-  /// Stamps a fresh LRU tick on the entry's slot (no-op when absent).
-  void touch_slot(uint64_t key_hash, std::string_view text, dns::RRType type);
-  void write_slot(std::size_t index, std::span<const uint8_t> image);
-  void kill_slot(std::size_t index);
-  void persist_entry(const server::CacheKey& key,
-                     const server::CacheEntry& entry);
-  void persist_zone(const dns::Name& zone, uint32_t serial);
+  /// A touch: the heap relink plus a fresh LRU tick on the node's slot.
+  void to_front(Node& node) override;
+  /// Seals `image` into `*slot`, allocating one with a fresh LRU tick
+  /// when it is kNoSlot; an overwrite keeps the tick (a commit is not a
+  /// use).  False when the table is full.
+  bool write_slot(uint32_t* slot, std::span<uint8_t> image);
+  void persist(Node& node);
+  void persist_zone(const dns::Name& zone, ZoneSerial& record);
 
   Options options_;
   int fd_ = -1;
   uint8_t* map_ = nullptr;
   std::size_t file_bytes_ = 0;
-  std::size_t slot_count_ = 0;   ///< power of two
+  std::size_t slot_count_ = 0;
   std::size_t slab_off_ = 0;     ///< file offset of the slab arena
   std::size_t slab_bytes_ = 0;
   uint64_t slab_used_ = 0;
   int64_t wall_epoch_us_ = 0;    ///< CLOCK_REALTIME µs at SimTime 0
   uint64_t lru_tick_ = 0;        ///< monotone LRU stamp for slot ordering
+  uint32_t next_slot_ = 0;       ///< slots at and past this were never used
+  std::vector<uint32_t> free_slots_;  ///< killed slots below next_slot_
   std::size_t slots_used_ = 0;
   LoadReport load_;
 

@@ -48,14 +48,6 @@ LeaseClient::LeaseClient(server::CachingResolver& resolver, Config config)
       "lease_readoption_total", labeled("result", "serial_gap"));
   stats_.readoptions_rejected = registry.counter(
       "lease_readoption_total", labeled("result", "rejected"));
-
-  // A warm-restarted cache's persistent store remembers the highest zone
-  // serials applied before the restart; seeding the ordering guard from
-  // it lets the post-restart resync distinguish "no pushes missed" from
-  // a real serial gap.
-  for (const auto& [zone, serial] : resolver_->cache().zone_serials()) {
-    zone_serials_[zone] = serial;
-  }
 }
 
 LeaseClient::Stats LeaseClient::stats() const {
@@ -86,12 +78,12 @@ void LeaseClient::on_client_query(const dns::Name& qname, dns::RRType qtype) {
 }
 
 void LeaseClient::on_client_query(const server::CacheKeyView& key,
-                                  const server::CacheEntry& hit) {
+                                  server::CacheEntry& hit) {
   observe_query(key, &hit);
 }
 
 void LeaseClient::observe_query(const server::CacheKeyView& key,
-                                const server::CacheEntry* entry) {
+                                server::CacheEntry* entry) {
   const net::SimTime now = resolver_->loop().now();
   rates_.record(key, now);
   if (config_.renegotiate_rate_factor <= 0.0) return;
@@ -99,21 +91,20 @@ void LeaseClient::observe_query(const server::CacheKeyView& key,
       now >= entry->lease->expiry) {
     return;  // nothing leased; the normal miss path negotiates
   }
-  auto it = lease_meta_.find(key);
-  if (it == lease_meta_.end()) return;
-  LeaseMeta& meta = it->second;
-  if (now - meta.last_renegotiation < config_.renegotiate_min_interval) {
+  LeaseState& lease = *entry->lease;
+  if (now - lease.last_renegotiation < config_.renegotiate_min_interval) {
     return;
   }
   const double current = rates_.rate(key, now);
-  const double baseline = meta.rate_at_grant;
-  if (baseline <= 0.0) return;
+  const double baseline = lease.rate_at_grant;
+  if (baseline <= 0.0) return;  // warm-loaded: no grant-time rate
   const double ratio = current / baseline;
   if (ratio < config_.renegotiate_rate_factor &&
       ratio > 1.0 / config_.renegotiate_rate_factor) {
     return;  // rate still in the negotiated band
   }
-  meta.last_renegotiation = now;
+  // Bookkeeping only, never persisted: no commit needed.
+  lease.last_renegotiation = now;
   ++stats_.renegotiations;
   // A forced EXT refresh carries the new RRC; the authority re-decides
   // the lease term and the response re-registers it here.
@@ -152,12 +143,14 @@ void LeaseClient::on_response(const net::Endpoint& from,
   } else {
     ++stats_.leases_registered;
   }
+  LeaseState lease{now + length, from, rates_.rate(q.qname, q.qtype, now)};
+  // The re-negotiation cooldown outlives a re-grant.
+  if (entry->lease.has_value()) {
+    lease.last_renegotiation = entry->lease->last_renegotiation;
+  }
   // Through the storage seam (not a raw member write), so a persistent
   // backend re-serializes the entry with its new lease state.
-  resolver_->cache().set_lease(q.qname, q.qtype,
-                               LeaseState{now + length, from});
-  auto& meta = lease_meta_[server::CacheKey{q.qname, q.qtype}];
-  meta.rate_at_grant = rates_.rate(q.qname, q.qtype, now);
+  resolver_->cache().set_lease(q.qname, q.qtype, lease);
 }
 
 bool LeaseClient::on_unsolicited(const net::Endpoint& from,
@@ -186,14 +179,11 @@ void LeaseClient::on_channel_resync(
   const net::SimTime now = resolver_->loop().now();
   std::vector<std::pair<dns::Name, dns::RRType>> refetch;
   for (const auto& [zone, serial] : zones) {
-    auto it = zone_serials_.find(zone);
     // A gap means pushes were missed while disconnected.  No recorded
     // serial at all is also a gap when we hold leases under the zone:
     // those leases came from plain EXT grants and we cannot prove the
     // data is current.
-    const bool gap =
-        it == zone_serials_.end() || dns::serial_gt(serial, it->second);
-    if (!gap) continue;
+    if (!newer_serial(zone, serial)) continue;
     resolver_->cache().for_each(
         [&](const server::CacheKey& key, const CacheEntry& entry) {
           if (!entry.lease.has_value() || now >= entry.lease->expiry) return;
@@ -203,7 +193,6 @@ void LeaseClient::on_channel_resync(
     // Adopt the authority's serial: the refetches below re-read the
     // current data, so a reconnect without intervening changes stays
     // quiet next time.
-    zone_serials_[zone] = serial;
     resolver_->cache().note_zone_serial(zone, serial);
   }
   for (const auto& [name, type] : refetch) {
@@ -217,24 +206,19 @@ void LeaseClient::on_readoption(
     const std::vector<std::pair<dns::Name, dns::RRType>>& announced,
     const std::vector<bool>& resumed,
     const std::vector<std::pair<dns::Name, uint32_t>>& zones) {
-  // Which zones moved on while we were down?  Decided against the seeded
-  // (pre-restart) serials, before on_channel_resync adopts the new ones.
+  // Which zones moved on while we were down?  Decided against the
+  // persisted (pre-restart) serials, before on_channel_resync adopts the
+  // new ones.
   std::vector<dns::Name> gap_zones;
   for (const auto& [zone, serial] : zones) {
-    auto it = zone_serials_.find(zone);
-    if (it == zone_serials_.end() || dns::serial_gt(serial, it->second)) {
-      gap_zones.push_back(zone);
-    }
+    if (newer_serial(zone, serial)) gap_zones.push_back(zone);
   }
   for (std::size_t i = 0; i < announced.size(); ++i) {
     const auto& [name, type] = announced[i];
     if (i >= resumed.size() || !resumed[i]) {
-      // The authority does not track this lease (anymore): demote it to
-      // a plain TTL entry so we never serve it as push-maintained.  The
-      // next client query re-negotiates normally.
-      resolver_->cache().set_lease(name, type, std::nullopt);
-      lease_meta_.erase(server::CacheKey{name, type});
-      ++stats_.readoptions_rejected;
+      // The authority does not track this lease (anymore): never serve
+      // it as push-maintained.
+      reject_readoption(name, type);
       continue;
     }
     bool under_gap = false;
@@ -253,6 +237,16 @@ void LeaseClient::on_readoption(
     }
   }
   on_channel_resync(zones);
+}
+
+void LeaseClient::reject_readoption(const dns::Name& name, dns::RRType type) {
+  resolver_->cache().set_lease(name, type, std::nullopt);
+  ++stats_.readoptions_rejected;
+}
+
+bool LeaseClient::newer_serial(const dns::Name& zone, uint32_t serial) const {
+  const auto applied = resolver_->cache().zone_serial(zone);
+  return !applied.has_value() || dns::serial_gt(serial, *applied);
 }
 
 bool LeaseClient::handle_update(const net::Endpoint& from,
@@ -310,14 +304,9 @@ bool LeaseClient::handle_update(const net::Endpoint& from,
   }
 
   // Ordering guard: never roll back to an older zone serial.
-  auto serial_it = zone_serials_.find(update.zone);
-  const bool stale =
-      serial_it != zone_serials_.end() &&
-      !dns::serial_gt(update.serial, serial_it->second);
-  if (stale) {
+  if (!newer_serial(update.zone, update.serial)) {
     ++stats_.stale_updates_ignored;
   } else {
-    zone_serials_[update.zone] = update.serial;
     resolver_->cache().note_zone_serial(update.zone, update.serial);
     for (const auto& set : update.updated) {
       CacheEntry* existing = resolver_->cache().peek(set.name, set.type);

@@ -12,13 +12,14 @@
 //
 // Updates are accepted only from the endpoint that granted the lease, and
 // zone serials are checked so reordered or duplicated pushes cannot roll
-// the cache back to older data.
+// the cache back to older data.  The client keeps no copy of cache state:
+// the highest serial applied per zone is the cache's zone-serial sidecar,
+// and a lease's re-negotiation bookkeeping lives in the entry's
+// LeaseState.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,11 +83,11 @@ class LeaseClient final : public server::CachingResolver::Extension {
 
   // Extension interface -----------------------------------------------
   void on_client_query(const dns::Name& qname, dns::RRType qtype) override;
-  /// The allocation-free form for fast-path hits: the rate tracker and
-  /// the lease metadata are probed by the borrowed key (its hash reused),
-  /// and `hit` stands in for a second cache probe.
+  /// The allocation-free form for fast-path hits: the rate tracker is
+  /// probed by the borrowed key (its hash reused), and `hit` stands in
+  /// for a second cache probe.
   void on_client_query(const server::CacheKeyView& key,
-                       const server::CacheEntry& hit) override;
+                       server::CacheEntry& hit) override;
   void on_outgoing_query(dns::Message& query) override;
   void on_response(const net::Endpoint& from,
                    const dns::Message& response) override;
@@ -130,6 +131,12 @@ class LeaseClient final : public server::CachingResolver::Extension {
       const std::vector<bool>& resumed,
       const std::vector<std::pair<dns::Name, uint32_t>>& zones);
 
+  /// Demotes a warm-loaded lease the authority did not re-adopt — or
+  /// that was never announced to it — to a plain TTL entry, through the
+  /// cache's storage seam; counted as a rejected re-adoption.  The next
+  /// client query re-negotiates normally.
+  void reject_readoption(const dns::Name& name, dns::RRType type);
+
   /// Live leases currently registered in the cache.
   std::size_t live_leases(net::SimTime now) const;
 
@@ -157,14 +164,13 @@ class LeaseClient final : public server::CachingResolver::Extension {
     metrics::Counter readoptions_rejected;
   };
 
-  struct LeaseMeta {
-    double rate_at_grant = 0.0;
-    net::SimTime last_renegotiation = 0;
-  };
   /// One client question: records its rate and re-negotiates a lease
   /// whose rate drifted.  `entry` is the cached record (null when none).
   void observe_query(const server::CacheKeyView& key,
-                     const server::CacheEntry* entry);
+                     server::CacheEntry* entry);
+  /// True when `serial` is newer than the highest serial applied for
+  /// `zone` (read from the cache's zone-serial sidecar), or none was.
+  bool newer_serial(const dns::Name& zone, uint32_t serial) const;
   /// Shared CACHE-UPDATE pipeline: trust gate, verify, parse, grantor
   /// check, serial guard, apply, ack via `send_ack`.
   bool handle_update(const net::Endpoint& from, const dns::Message& message,
@@ -173,11 +179,6 @@ class LeaseClient final : public server::CachingResolver::Extension {
   server::CachingResolver* resolver_;
   Config config_;
   RateTracker rates_;
-  /// Highest zone serial applied, per zone (dedupe / ordering guard).
-  std::map<dns::Name, uint32_t> zone_serials_;
-  std::unordered_map<server::CacheKey, LeaseMeta, server::CacheKeyHash,
-                     server::CacheKeyEq>
-      lease_meta_;
   Instruments stats_;
 };
 

@@ -156,6 +156,19 @@ std::vector<uint8_t> encode_subscribe(const SubscribeInfo& info) {
   return body;
 }
 
+std::size_t survivors_per_subscribe(
+    std::span<const LeaseSurvivor> survivors) {
+  // encode_subscribe's layout: version, identity and count, then per
+  // survivor a length-prefixed name, the type and the remaining term.
+  std::size_t bytes = 1 + 4 + 2 + 2;
+  std::size_t fit = 0;
+  for (; fit < survivors.size(); ++fit) {
+    bytes += 2 + survivors[fit].name.to_string().size() + 2 + 8;
+    if (bytes > kMaxFrameBody) break;
+  }
+  return fit;
+}
+
 std::optional<SubscribeInfo> parse_subscribe(std::span<const uint8_t> body) {
   BodyReader reader(body);
   const auto version = reader.u8();

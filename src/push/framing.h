@@ -97,6 +97,11 @@ std::vector<uint8_t> encode_subscribe(const net::Endpoint& identity);
 std::vector<uint8_t> encode_subscribe(const SubscribeInfo& info);
 std::optional<SubscribeInfo> parse_subscribe(std::span<const uint8_t> body);
 
+/// How many of `survivors`, taken from the front, one v2 SUBSCRIBE
+/// carries: a longer inventory would exceed kMaxFrameBody, and
+/// encode_frame would drop the whole frame.
+std::size_t survivors_per_subscribe(std::span<const LeaseSurvivor> survivors);
+
 // SUBSCRIBE_ACK body, version 1: version byte, 2-byte zone count, then
 // per zone a 4-byte serial and a length-prefixed presentation-form zone
 // name.  The reconnecting cache compares these serials with the last

@@ -156,8 +156,7 @@ bool ResolverCache::set_lease(const dns::Name& name, dns::RRType type,
 }
 
 void ResolverCache::commit(const dns::Name& name, dns::RRType type) {
-  const CacheKey key{name, type};
-  if (store_->find(key) != nullptr) store_->commit(key);
+  store_->commit(CacheKey{name, type});
 }
 
 std::size_t ResolverCache::purge_expired(net::SimTime now) {
@@ -176,9 +175,9 @@ void ResolverCache::note_zone_serial(const dns::Name& zone, uint32_t serial) {
   store_->put_zone_serial(zone, serial);
 }
 
-std::vector<std::pair<dns::Name, uint32_t>> ResolverCache::zone_serials()
-    const {
-  return store_->zone_serials();
+std::optional<uint32_t> ResolverCache::zone_serial(
+    const dns::Name& zone) const {
+  return store_->zone_serial(zone);
 }
 
 void ResolverCache::evict_if_needed(net::SimTime now) {

@@ -16,8 +16,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "dns/message.h"
 #include "dns/rr.h"
@@ -38,8 +36,9 @@ struct CacheKey {
 };
 
 /// Borrowed probe key for allocation-free lookups: a NameView over the
-/// request bytes plus a type, with its CacheKeyHash computed once — the
-/// heap map and the mmap store's slot table both probe on that value.
+/// request bytes plus a type, with its CacheKeyHash computed once for the
+/// store's map — the only index over cached entries; a persistent store
+/// reaches an entry's file slot through the map node, never by hash.
 /// Valid only while the viewed bytes are.
 struct CacheKeyView {
   CacheKeyView(const dns::NameView& n, dns::RRType t);
@@ -53,9 +52,7 @@ struct CacheKeyHash {
   using is_transparent = void;
 
   /// splitmix64 finalizer over the (name hash, type) pair: the same
-  /// full-avalanche mix the planner's demand table probes on, so the
-  /// heap map and the cachestore in-file open-addressed table share one
-  /// well-distributed hash.
+  /// full-avalanche mix the planner's demand table probes on.
   static std::size_t mix(std::size_t name_hash, dns::RRType type) {
     return static_cast<std::size_t>(util::splitmix64_mix(
         static_cast<uint64_t>(name_hash) * 31u +
@@ -86,6 +83,11 @@ inline CacheKeyView::CacheKeyView(const dns::NameView& n, dns::RRType t)
 struct LeaseState {
   net::SimTime expiry = 0;        ///< lease valid until this instant
   net::Endpoint authority;        ///< grantor; only it may push updates
+  // Re-negotiation bookkeeping of the lease-holding client (never
+  // persisted: a warm-loaded lease starts without it and is not
+  // re-negotiated until the next grant).
+  double rate_at_grant = 0.0;     ///< client query rate reported at grant
+  net::SimTime last_renegotiation = 0;
 };
 
 struct CacheEntry {
@@ -189,7 +191,8 @@ class ResolverCache {
   /// Records the highest zone serial applied (persisted by a persistent
   /// backend so a warm restart only refetches on a real serial gap).
   void note_zone_serial(const dns::Name& zone, uint32_t serial);
-  std::vector<std::pair<dns::Name, uint32_t>> zone_serials() const;
+  /// The serial noted for `zone`, if any.
+  std::optional<uint32_t> zone_serial(const dns::Name& zone) const;
 
   std::size_t size() const;
   /// Value snapshot of the registry-backed counters.
@@ -198,7 +201,8 @@ class ResolverCache {
   CacheStoreBackend& store() { return *store_; }
   const CacheStoreBackend& store() const { return *store_; }
 
-  /// Iterates all entries (tests and the DNScup lease module).
+  /// Iterates all entries, most recently used first (tests, the DNScup
+  /// lease module and the warm-restart survivor announcement).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for_each_impl(

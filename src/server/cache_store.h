@@ -5,11 +5,12 @@
 // zone-serial sidecar) is a backend that can be swapped.
 //
 // Two backends exist:
-//  * HeapCacheStore (here) — the original unordered_map + LRU list; all
-//    state is lost on process exit.
+//  * HeapCacheStore (here) — one unordered_map whose nodes are the
+//    entries and link the LRU order; all state is lost on process exit.
 //  * cachestore::MmapCacheStore (src/cachestore) — serves from the same
-//    heap structures but mirrors every committed mutation into an
-//    mmap-backed file image, so a restart reloads the cache warm.
+//    map, whose nodes also record their file slots, and mirrors every
+//    committed mutation into an mmap-backed image, so a restart reloads
+//    the cache warm.
 //
 // The contract around mutation: ResolverCache mutates the CacheEntry
 // reference returned by find()/upsert() and then calls commit(key); a
@@ -20,13 +21,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "server/cache.h"
 
@@ -75,6 +73,7 @@ class CacheStoreBackend {
   /// every entry is leased.  nullopt only when the store is empty.
   virtual std::optional<Victim> evict_candidate(net::SimTime now) const = 0;
 
+  /// Visits every entry, most recently used first.
   using EntryFn = std::function<void(const CacheKey&, const CacheEntry&)>;
   virtual void for_each(const EntryFn& fn) const = 0;
 
@@ -82,19 +81,23 @@ class CacheStoreBackend {
   // alongside the entries so a warm restart can prove its data current
   // against the authority's SUBSCRIBE_ACK inventory.
   virtual void put_zone_serial(const dns::Name& zone, uint32_t serial) = 0;
-  virtual std::vector<std::pair<dns::Name, uint32_t>> zone_serials()
+  virtual std::optional<uint32_t> zone_serial(const dns::Name& zone)
       const = 0;
 };
 
-/// The original concrete store: unordered_map keyed by CacheKey plus an
-/// LRU list (front = most recent).  MmapCacheStore derives from this and
-/// mirrors mutations into its file image.
+/// The in-process store: one unordered_map keyed by CacheKey whose nodes
+/// also form the LRU list (front = most recent).  MmapCacheStore derives
+/// from this and mirrors mutations into its file image.
 class HeapCacheStore : public CacheStoreBackend {
  public:
+  HeapCacheStore() = default;
+  HeapCacheStore(const HeapCacheStore&) = delete;  // nodes link by address
+  HeapCacheStore& operator=(const HeapCacheStore&) = delete;
+
   std::string_view name() const override { return "heap"; }
   std::size_t size() const override { return entries_.size(); }
-  CacheEntry* find(const CacheKey& key) override;
-  CacheEntry* find(const CacheKeyView& key) override;
+  CacheEntry* find(const CacheKey& key) override { return find_node(key); }
+  CacheEntry* find(const CacheKeyView& key) override { return find_node(key); }
   CacheEntry& upsert(const CacheKey& key, bool& inserted) override;
   bool erase(const CacheKey& key) override;
   void touch(const CacheKey& key) override;
@@ -102,19 +105,43 @@ class HeapCacheStore : public CacheStoreBackend {
   std::optional<Victim> evict_candidate(net::SimTime now) const override;
   void for_each(const EntryFn& fn) const override;
   void put_zone_serial(const dns::Name& zone, uint32_t serial) override;
-  std::vector<std::pair<dns::Name, uint32_t>> zone_serials() const override;
+  std::optional<uint32_t> zone_serial(const dns::Name& zone) const override;
 
  protected:
-  /// A map node is its entry: every CacheEntry this store hands out is
-  /// the base of a Node, so touch(key, entry) reaches the LRU position
-  /// from the entry alone.
+  /// No file slot: not (yet) in a persistent image, or no image at all.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// A map node is its entry and its place in the LRU list: every
+  /// CacheEntry this store hands out is the base of a Node, so
+  /// touch(key, entry) reaches the LRU links from the entry alone.
   struct Node : CacheEntry {
-    std::list<CacheKey>::iterator lru_it;
+    const CacheKey* key = nullptr;  ///< the map key this node sits under
+    Node* newer = nullptr;          ///< null at the most recent node
+    Node* older = nullptr;          ///< null at the least recent node
+    uint32_t slot = kNoSlot;        ///< MmapCacheStore's file slot
+  };
+  struct ZoneSerial {
+    uint32_t serial = 0;
+    uint32_t slot = kNoSlot;  ///< MmapCacheStore's file slot
   };
 
+  template <typename Key>
+  Node* find_node(const Key& key) {
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  /// Moves `node` to the LRU front: every touch ends here, so a
+  /// persistent store overrides it to stamp the node's slot as well.
+  virtual void to_front(Node& node);
+
   std::unordered_map<CacheKey, Node, CacheKeyHash, CacheKeyEq> entries_;
-  std::list<CacheKey> lru_;  ///< front = most recent
-  std::map<dns::Name, uint32_t> zone_serials_;
+  Node* most_recent_ = nullptr;
+  Node* least_recent_ = nullptr;
+  std::map<dns::Name, ZoneSerial> zone_serials_;
+
+ private:
+  void unlink(Node& node);
+  void link_front(Node& node);
 };
 
 }  // namespace dnscup::server

@@ -85,10 +85,10 @@ class CachingResolver {
     }
     /// The same observation for a question try_fast_hit answers: `key`
     /// views the request bytes (valid only for the call) and `hit` is the
-    /// fresh entry about to be served.  The default materializes the name
-    /// and forwards to the owning form.
-    virtual void on_client_query(const CacheKeyView& key,
-                                 const CacheEntry& hit) {
+    /// fresh entry about to be served (the hook may update its lease's
+    /// unpersisted re-negotiation bookkeeping).  The default materializes
+    /// the name and forwards to the owning form.
+    virtual void on_client_query(const CacheKeyView& key, CacheEntry& hit) {
       (void)hit;
       on_client_query(key.name.materialize(), key.type);
     }

@@ -1,8 +1,10 @@
 // Mmap-backed persistent cache store: backend equivalence against the
-// heap store under a seeded op stream, warm-restart reload with
-// wall-clock TTL decay, lease demotion, corruption fallback to cold,
-// torn-slot recovery, LRU order across restarts, zone-serial
-// persistence and slab compaction.
+// heap store under a seeded op stream (and of the reopened image against
+// the heap store), warm-restart reload with wall-clock TTL decay, lease
+// demotion, corruption fallback to cold (leaving nothing of the damaged
+// image behind), torn-slot recovery, seeded byte mutation of a written
+// image, LRU order across restarts, zone-serial persistence, slab
+// compaction, and the resident footprint of a reopened image.
 #include "cachestore/mmap_store.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +15,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "server/cache.h"
 #include "server/cache_store.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace dnscup::cachestore {
 namespace {
@@ -76,6 +82,31 @@ class CacheStoreTest : public ::testing::Test {
     return std::move(opened).value();
   }
 
+  /// Writes an image holding three entries and a zone serial.
+  void write_populated_image() {
+    ResolverCache cache(0, nullptr, open());
+    cache.put(a_set("www.example.com", 600, 1), 0);
+    cache.put(a_set("mail.example.com", 600, 2), 0);
+    cache.put_negative(mk("no.example.com"), RRType::kA,
+                       dns::Rcode::kNXDomain, 600, 0);
+    cache.note_zone_serial(mk("example.com"), 9);
+  }
+
+  /// After a cold start the next open must find a valid, empty image:
+  /// nothing of the damaged one may be adopted.
+  void expect_reopen_adopts_nothing(std::size_t file_bytes = 1ull << 20) {
+    auto opts = options(kWallBase + net::seconds(2), 0);
+    opts.file_bytes = file_bytes;
+    auto reopened = MmapCacheStore::open(std::move(opts));
+    ASSERT_TRUE(reopened.ok());
+    const auto& report = reopened.value()->load_report();
+    EXPECT_FALSE(report.cold) << report.cold_reason;
+    EXPECT_EQ(report.warm_entries, 0u);
+    EXPECT_EQ(report.torn_dropped, 0u);
+    EXPECT_EQ(report.zones_loaded, 0u);
+    EXPECT_EQ(reopened.value()->size(), 0u);
+  }
+
   std::string path_;
 };
 
@@ -99,13 +130,60 @@ struct Lcg {
   }
 };
 
+/// What a restart must reproduce of one entry: its data, TTL clock and
+/// negative flag, and its lease while valid at the reopen instant (the
+/// image drops an expired lease at load, where the heap keeps it inert).
+struct EntryImage {
+  dns::RRset rrset;
+  bool negative = false;
+  net::SimTime inserted_at = 0;
+  net::SimTime expiry = 0;
+  std::optional<std::pair<net::SimTime, net::Endpoint>> lease;
+  bool operator==(const EntryImage&) const = default;
+};
+
+std::map<std::string, EntryImage> entry_images(
+    const server::CacheStoreBackend& store, net::SimTime now) {
+  std::map<std::string, EntryImage> images;
+  store.for_each([&](const CacheKey& key, const CacheEntry& entry) {
+    EntryImage& image =
+        images[key.name.to_string() + "/" +
+               std::to_string(static_cast<int>(key.type))];
+    image.rrset = entry.rrset;
+    image.negative = entry.negative;
+    image.inserted_at = entry.inserted_at;
+    image.expiry = entry.expiry;
+    if (entry.lease.has_value() && now < entry.lease->expiry) {
+      image.lease.emplace(entry.lease->expiry, entry.lease->authority);
+    }
+  });
+  return images;
+}
+
+/// The eviction order, least recent first, read destructively: each
+/// evict_candidate in turn, then what is left (the MRU entry).
+std::vector<std::string> drain_eviction_order(
+    server::CacheStoreBackend& store, net::SimTime now) {
+  std::vector<std::string> order;
+  while (auto victim = store.evict_candidate(now)) {
+    order.push_back(victim->key.name.to_string());
+    store.erase(victim->key);
+  }
+  store.for_each([&order](const CacheKey& key, const CacheEntry&) {
+    order.push_back(key.name.to_string());
+  });
+  return order;
+}
+
 /// Drives the same randomized op stream through a heap-backed and an
 /// mmap-backed ResolverCache and asserts identical observable behavior —
-/// the seam's core contract.
+/// the seam's core contract — then reopens the image and asserts that
+/// what a restart adopts equals the heap store's state.
 TEST_F(CacheStoreTest, BackendEquivalenceUnderSeededOpStream) {
   constexpr std::size_t kCapacity = 12;
   ResolverCache heap(kCapacity);
-  ResolverCache mmap(kCapacity, nullptr, open());
+  auto owned = std::make_unique<ResolverCache>(kCapacity, nullptr, open());
+  ResolverCache& mmap = *owned;
 
   const net::Endpoint authority{net::make_ip(10, 0, 0, 1), 53};
   Lcg rng{20260809};
@@ -182,7 +260,8 @@ TEST_F(CacheStoreTest, BackendEquivalenceUnderSeededOpStream) {
   EXPECT_EQ(hs.invalidations, ms.invalidations);
   EXPECT_EQ(hs.evictions, ms.evictions);
   EXPECT_EQ(hs.leased_evictions, ms.leased_evictions);
-  EXPECT_EQ(heap.zone_serials(), mmap.zone_serials());
+  EXPECT_EQ(heap.zone_serial(mk("example.com")),
+            mmap.zone_serial(mk("example.com")));
 
   // Same resident set, entry for entry.
   std::vector<std::pair<std::string, net::SimTime>> heap_dump, mmap_dump;
@@ -195,6 +274,25 @@ TEST_F(CacheStoreTest, BackendEquivalenceUnderSeededOpStream) {
   std::sort(heap_dump.begin(), heap_dump.end());
   std::sort(mmap_dump.begin(), mmap_dump.end());
   EXPECT_EQ(heap_dump, mmap_dump);
+
+  // The image.  Purged first so every entry is still fresh at the
+  // reopen, which sees no downtime: a restart must then adopt exactly
+  // the heap store's entries, zone serials and eviction order.
+  EXPECT_EQ(heap.purge_expired(now), mmap.purge_expired(now));
+  owned.reset();  // flushes the image
+  auto image = open(kWallBase + now, now);
+  const auto& report = image->load_report();
+  ASSERT_FALSE(report.cold) << report.cold_reason;
+  EXPECT_EQ(report.torn_dropped, 0u);
+  EXPECT_EQ(report.expired_dropped, 0u);
+  EXPECT_EQ(report.downtime_us, 0);
+  EXPECT_EQ(report.warm_entries, heap.size());
+  EXPECT_EQ(entry_images(*image, now), entry_images(heap.store(), now));
+  EXPECT_EQ(report.zones_loaded, 1u);
+  EXPECT_EQ(image->zone_serial(mk("example.com")),
+            heap.zone_serial(mk("example.com")));
+  EXPECT_EQ(drain_eviction_order(*image, now),
+            drain_eviction_order(heap.store(), now));
 }
 
 // ---- warm restart ---------------------------------------------------------
@@ -235,10 +333,7 @@ TEST_F(CacheStoreTest, WarmReloadDecaysTtlByDowntime) {
   ASSERT_EQ(entry->rrset.rdatas.size(), 1u);
   EXPECT_EQ(std::get<dns::ARdata>(entry->rrset.rdatas[0]).address.addr, 7u);
 
-  const auto serials = reloaded->zone_serials();
-  ASSERT_EQ(serials.size(), 1u);
-  EXPECT_EQ(serials[0].first, mk("example.com"));
-  EXPECT_EQ(serials[0].second, 42u);
+  EXPECT_EQ(reloaded->zone_serial(mk("example.com")), 42u);
 }
 
 TEST_F(CacheStoreTest, KeepLeasesFalseDemotesWarmLeases) {
@@ -290,6 +385,8 @@ TEST_F(CacheStoreTest, LruOrderSurvivesRestart) {
     cache.put(a_set("hot.example.com", 600, 3), 0);
     // Touch old.example.com so the pre-restart LRU victim is mid.
     cache.lookup(mk("old.example.com"), RRType::kA, net::seconds(1));
+    // Re-persisting mid is not a use: it stays the LRU victim.
+    cache.commit(mk("mid.example.com"), RRType::kA);
   }
   ResolverCache cache(3, nullptr, open(kWallBase + net::seconds(5), 0));
   EXPECT_EQ(cache.size(), 3u);
@@ -313,21 +410,22 @@ void patch_file(const std::string& path, std::size_t offset,
 }
 
 TEST_F(CacheStoreTest, BadMagicFallsBackCold) {
-  { ResolverCache cache(0, nullptr, open());
-    cache.put(a_set("www.example.com", 600, 1), 0); }
+  write_populated_image();
   const char junk[8] = {'N', 'O', 'T', 'A', 'C', 'A', 'C', 'H'};
   patch_file(path_, 0, junk, sizeof junk);
   auto reloaded = open(kWallBase + 1, 0);
   EXPECT_TRUE(reloaded->load_report().cold);
   EXPECT_EQ(reloaded->load_report().cold_reason, "bad magic");
   EXPECT_EQ(reloaded->size(), 0u);
+  reloaded.reset();
+  expect_reopen_adopts_nothing();
 }
 
 TEST_F(CacheStoreTest, BadVersionFallsBackCold) {
-  { ResolverCache cache(0, nullptr, open());
-    cache.put(a_set("www.example.com", 600, 1), 0); }
-  // Version then header CRC refreshed so only the version mismatches.
-  const uint32_t version = 99;
+  write_populated_image();
+  // An image that says version 1 (the hash-placed layout): version then
+  // header CRC refreshed so only the version mismatches.
+  const uint32_t version = 1;
   patch_file(path_, 8, &version, sizeof version);
   std::vector<uint8_t> head(60);
   { std::ifstream in(path_, std::ios::binary);
@@ -338,28 +436,32 @@ TEST_F(CacheStoreTest, BadVersionFallsBackCold) {
   auto reloaded = open(kWallBase + 1, 0);
   EXPECT_TRUE(reloaded->load_report().cold);
   EXPECT_EQ(reloaded->load_report().cold_reason, "bad version");
+  reloaded.reset();
+  expect_reopen_adopts_nothing();
 }
 
 TEST_F(CacheStoreTest, TornHeaderFallsBackCold) {
-  { ResolverCache cache(0, nullptr, open());
-    cache.put(a_set("www.example.com", 600, 1), 0); }
+  write_populated_image();
   // Flip one CRC-covered header byte without fixing the CRC.
   const uint8_t garbage = 0xA5;
   patch_file(path_, 40, &garbage, sizeof garbage);
   auto reloaded = open(kWallBase + 1, 0);
   EXPECT_TRUE(reloaded->load_report().cold);
   EXPECT_EQ(reloaded->load_report().cold_reason, "bad header crc");
+  reloaded.reset();
+  expect_reopen_adopts_nothing();
 }
 
 TEST_F(CacheStoreTest, ResizedFileFallsBackCold) {
-  { ResolverCache cache(0, nullptr, open());
-    cache.put(a_set("www.example.com", 600, 1), 0); }
+  write_populated_image();
   auto opts = options(kWallBase + 1, 0);
   opts.file_bytes = 2ull << 20;  // operator grew --cache-file-size
   auto reloaded = MmapCacheStore::open(std::move(opts));
   ASSERT_TRUE(reloaded.ok());
   EXPECT_TRUE(reloaded.value()->load_report().cold);
   EXPECT_EQ(reloaded.value()->load_report().cold_reason, "size mismatch");
+  reloaded.value().reset();
+  expect_reopen_adopts_nothing(2ull << 20);
 }
 
 TEST_F(CacheStoreTest, TornSlotIsDroppedOthersSurvive) {
@@ -384,7 +486,7 @@ TEST_F(CacheStoreTest, TornSlotIsDroppedOthersSurvive) {
     std::memcpy(&state, slot.data(), sizeof state);
     if (state == 1) {  // kUsed
       const uint8_t garbage = 0xFF;
-      patch_file(path_, 4096 + i * 512 + 80, &garbage, sizeof garbage);
+      patch_file(path_, 4096 + i * 512 + 64, &garbage, sizeof garbage);
       patched = true;
     }
   }
@@ -393,6 +495,164 @@ TEST_F(CacheStoreTest, TornSlotIsDroppedOthersSurvive) {
   EXPECT_FALSE(reloaded->load_report().cold);
   EXPECT_EQ(reloaded->load_report().torn_dropped, 1u);
   EXPECT_EQ(reloaded->load_report().warm_entries, 2u);
+}
+
+std::vector<uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A seeded byte-mutation loop over a written image: open() must never
+/// crash, and it either cold-starts or adopts only entries that were
+/// written, each with its written data and lifetime.
+TEST_F(CacheStoreTest, SeededByteMutationsAdoptOnlyWrittenEntries) {
+  constexpr int kEntries = 40;
+  constexpr int kIterations = 400;
+  std::map<std::string, uint32_t> written;  // name -> A address
+  std::size_t slab_off = 0;
+  {
+    auto store = open();
+    slab_off = 4096 + store->slot_count() * 512;
+    ResolverCache cache(0, nullptr, std::move(store));
+    for (int i = 0; i < kEntries; ++i) {
+      const std::string name = "m" + std::to_string(i) + ".example.com.";
+      written[name] = 1000 + static_cast<uint32_t>(i);
+      cache.put(a_set(name, 600, written[name]), 0);
+    }
+    cache.note_zone_serial(mk("example.com"), 7);
+  }
+  const std::vector<uint8_t> pristine = read_file(path_);
+  uint64_t slab_used = 0;
+  std::memcpy(&slab_used, pristine.data() + 32, sizeof slab_used);
+  ASSERT_GT(slab_used, 0u);
+  // Where the bytes mean something: the CRC-covered header, the used
+  // slot prefix (entries plus the zone slot) and the slab's used bytes.
+  const std::pair<std::size_t, std::size_t> regions[] = {
+      {0, 64},
+      {4096, 4096 + (kEntries + 1) * 512},
+      {slab_off, slab_off + slab_used},
+  };
+
+  util::Rng rng(20261017);
+  int warm = 0, cold = 0;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::vector<uint8_t> image = pristine;
+    const int mutations = static_cast<int>(rng.uniform_int(1, 4));
+    for (int m = 0; m < mutations; ++m) {
+      const auto region = rng.uniform_int(0, 2);
+      const auto [lo, hi] = regions[region];
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<int64_t>(lo),
+                          static_cast<int64_t>(hi) - 1));
+      const auto kind = rng.uniform_int(0, 2);
+      if (kind == 2 && region == 1) {
+        // A slot's state word: free (ends the scan), used, dead, zone or
+        // no state at all.
+        const std::size_t slot = lo + (at - lo) / 512 * 512;
+        const auto state = static_cast<uint32_t>(rng.uniform_int(0, 4));
+        std::memcpy(image.data() + slot, &state, sizeof state);
+      } else if (kind == 1) {
+        image[at] = static_cast<uint8_t>(rng.uniform_int(0, 255));
+      } else {
+        image[at] ^= static_cast<uint8_t>(1u << rng.uniform_int(0, 7));
+      }
+    }
+    write_file(path_, image);
+
+    auto store = open(kWallBase + net::seconds(1), 0);
+    const auto& report = store->load_report();
+    if (report.cold) {
+      ++cold;
+      EXPECT_EQ(store->size(), 0u);
+      continue;
+    }
+    ++warm;
+    EXPECT_LE(store->size(), written.size());
+    store->for_each([&](const CacheKey& key, const CacheEntry& entry) {
+      const auto it = written.find(key.name.to_string());
+      ASSERT_NE(it, written.end())
+          << "iteration " << iteration << " adopted " << key.name.to_string();
+      EXPECT_EQ(key.type, RRType::kA);
+      EXPECT_FALSE(entry.negative);
+      EXPECT_FALSE(entry.lease.has_value());
+      EXPECT_EQ(entry.expiry, net::seconds(600 - 1));
+      EXPECT_EQ(entry.rrset, a_set(it->first, 600, it->second));
+    });
+    EXPECT_LE(report.zones_loaded, 1u);
+    const auto serial = store->zone_serial(mk("example.com"));
+    EXPECT_EQ(serial.value_or(7), 7u);
+    EXPECT_EQ(serial.has_value(), report.zones_loaded == 1);
+  }
+  // The budget exercises both outcomes.
+  EXPECT_GT(warm, 0);
+  EXPECT_GT(cold, 0);
+}
+
+/// Resident bytes of this process's mapping of `path` (the Rss line of
+/// its /proc/self/smaps entry); -1 when the file is not mapped.
+long mapped_rss_bytes(const std::string& path) {
+  std::ifstream smaps("/proc/self/smaps");
+  const std::string suffix = "/" + path;
+  std::string line;
+  bool ours = false;
+  while (std::getline(smaps, line)) {
+    // A mapping starts with its address range "lo-hi perms ...".
+    const std::size_t space = line.find(' ');
+    const std::size_t dash = line.find('-');
+    if (space != std::string::npos && dash < space &&
+        line.find_first_not_of("0123456789abcdef-") == space) {
+      ours = line.size() >= suffix.size() &&
+             line.compare(line.size() - suffix.size(), suffix.size(),
+                          suffix) == 0;
+      continue;
+    }
+    if (ours && line.rfind("Rss:", 0) == 0) {
+      return std::stol(line.substr(4)) * 1024;
+    }
+  }
+  return -1;
+}
+
+/// Reopening a large image touches only what its records need: the load
+/// stops at the first never-used slot, and the old image is dropped by
+/// truncation instead of being zeroed page by page.
+TEST_F(CacheStoreTest, ReopenedImageKeepsOnlyUsedPagesResident) {
+  constexpr std::size_t kFileBytes = 256ull << 20;  // 64 MiB slot table
+  constexpr int kEntries = 4000;
+  auto opts = options();
+  opts.file_bytes = kFileBytes;
+  {
+    auto opened = MmapCacheStore::open(opts);
+    ASSERT_TRUE(opened.ok());
+    ResolverCache cache(0, nullptr, std::move(opened).value());
+    for (int i = 0; i < kEntries; ++i) {
+      cache.put(a_set("r" + std::to_string(i) + ".example.com", 600,
+                      static_cast<uint32_t>(i)),
+                0);
+    }
+  }
+  opts.wall_now_us = kWallBase + net::seconds(1);
+  auto reopened = MmapCacheStore::open(opts);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value()->load_report().warm_entries,
+            static_cast<uint64_t>(kEntries));
+
+  // The rewritten image needs its header page, one 512 B slot per entry
+  // (~2 MiB) and ~40 B of slab per entry (~160 KiB).  The slack of
+  // 2 MiB covers page rounding at both regions' ends; zeroing or
+  // scanning the whole 64 MiB table would blow through it.
+  const long needed = 4096 + kEntries * 512 + kEntries * 40;
+  const long rss = mapped_rss_bytes(path_);
+  ASSERT_GE(rss, 0) << "image mapping not found in /proc/self/smaps";
+  EXPECT_GE(rss, kEntries * 512L);
+  EXPECT_LT(rss, needed + (2L << 20));
 }
 
 // ---- slab compaction ------------------------------------------------------

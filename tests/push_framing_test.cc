@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace dnscup::push {
@@ -140,6 +142,33 @@ TEST(PushFraming, SubscribeV2RoundTripsSurvivors) {
   EXPECT_EQ(parsed->survivors[1].name, info.survivors[1].name);
   EXPECT_EQ(parsed->survivors[1].type, dns::RRType::kAAAA);
   EXPECT_EQ(parsed->survivors[1].remaining_us, 1'500'000u);
+}
+
+// A warm restart can reload more leases than one SUBSCRIBE frame holds;
+// survivors_per_subscribe is the longest prefix that still frames.
+TEST(PushFraming, SurvivorsPerSubscribeFillsExactlyOneFrame) {
+  std::vector<LeaseSurvivor> survivors;
+  for (int i = 0; i < 5000; ++i) {
+    survivors.push_back(LeaseSurvivor{
+        dns::Name::parse("h" + std::to_string(i) + ".example.com").value(),
+        dns::RRType::kA, 3'600'000'000});
+  }
+  EXPECT_EQ(survivors_per_subscribe({survivors.data(), 10}), 10u);
+  const std::size_t fit = survivors_per_subscribe(survivors);
+  ASSERT_GT(fit, 1000u);
+  ASSERT_LT(fit, survivors.size());
+
+  SubscribeInfo info;
+  info.identity = net::Endpoint{net::make_ip(127, 0, 0, 1), 4242};
+  info.survivors.assign(survivors.begin(),
+                        survivors.begin() + static_cast<std::ptrdiff_t>(fit));
+  std::vector<uint8_t> stream;
+  EXPECT_TRUE(
+      encode_frame(FrameKind::kSubscribe, encode_subscribe(info), stream));
+  info.survivors.push_back(survivors[fit]);
+  stream.clear();
+  EXPECT_FALSE(
+      encode_frame(FrameKind::kSubscribe, encode_subscribe(info), stream));
 }
 
 TEST(PushFraming, SubscribeRejectsMalformedBodies) {

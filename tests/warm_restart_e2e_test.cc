@@ -6,7 +6,9 @@
 // is announced over the v2 SUBSCRIBE and re-adopted by the authority
 // without a refetch, pushes resume on the re-adopted lease — and when
 // the zone moved while the cache was down, the client detects the serial
-// gap and refetches instead of serving stale data.
+// gap and refetches instead of serving stale data.  More surviving leases
+// than one SUBSCRIBE frame holds: the overflow is demoted before the
+// restarted cache serves, and only announced leases stay leased.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -27,9 +29,11 @@
 namespace dnscup {
 namespace {
 
-dns::Zone zone_with(const char* address, uint32_t serial, uint32_t ttl) {
-  char text[512];
-  std::snprintf(text, sizeof text,
+/// The test zone; `hosts` adds A records h0 .. h<hosts-1>.
+dns::Zone zone_with(const char* address, uint32_t serial, uint32_t ttl,
+                    int hosts = 0) {
+  char head[512];
+  std::snprintf(head, sizeof head,
                 "$ORIGIN example.com.\n"
                 "@ IN SOA ns1.example.com. admin.example.com. %u 7200 900 "
                 "604800 300\n"
@@ -37,6 +41,12 @@ dns::Zone zone_with(const char* address, uint32_t serial, uint32_t ttl) {
                 "ns1 %u IN A 10.0.0.1\n"
                 "www %u IN A %s\n",
                 serial, ttl, ttl, ttl, address);
+  std::string text = head;
+  for (int i = 0; i < hosts; ++i) {
+    text += "h" + std::to_string(i) + " " + std::to_string(ttl) +
+            " IN A 10.2." + std::to_string(i / 256) + "." +
+            std::to_string(i % 256) + "\n";
+  }
   auto zone =
       dns::parse_zone_text(text, dns::Name::parse("example.com").value());
   EXPECT_TRUE(zone.ok()) << (zone.ok() ? "" : zone.error().to_string());
@@ -193,7 +203,7 @@ class WarmRestartE2e : public ::testing::Test {
     config.push.reconnect_min = net::milliseconds(50);
     config.push.reconnect_max = net::milliseconds(200);
     config.cache_dir = dir_;
-    config.cache_file_bytes = 1ull << 20;
+    config.cache_file_bytes = cache_file_bytes_;
     auto started = cachert::CacheRuntime::start(std::move(config));
     ASSERT_TRUE(started.ok()) << started.error().to_string();
     cache_ = std::move(started).value();
@@ -212,6 +222,7 @@ class WarmRestartE2e : public ::testing::Test {
   }
 
   std::string dir_;
+  std::size_t cache_file_bytes_ = 1ull << 20;
   std::unique_ptr<runtime::ServingRuntime> authority_;
   std::unique_ptr<cachert::CacheRuntime> cache_;
 };
@@ -320,6 +331,62 @@ TEST_F(WarmRestartE2e, RestartWithoutPushPlaneDemotesLeases) {
   Client client;
   const auto warm = client.query(cache_->endpoints()[0], "www.example.com");
   EXPECT_EQ(Client::answer_a(warm), "10.1.0.10");
+  EXPECT_EQ(counter_sum(cache_->metrics(), "resolver_queries", "side",
+                        "upstream"),
+            0u);
+}
+
+// More survivors than one v2 SUBSCRIBE frame holds (~2200 of these
+// names).  The announcement must still be sent with as many as fit, and
+// every survivor past them must be demoted before the restarted cache
+// serves: no entry may keep a lease the authority was never asked to
+// re-adopt.
+TEST_F(WarmRestartE2e, SurvivorsBeyondOneFrameAreDemotedNotHonoured) {
+  constexpr int kHosts = 3000;
+  cache_file_bytes_ = 8ull << 20;  // 4096 slots
+  authority_->reload_zone(zone_with("10.1.0.10", 2, 300, kHosts));
+  start_cache();
+  {
+    Client client;
+    for (int i = 0; i < kHosts; ++i) {
+      const std::string name = "h" + std::to_string(i) + ".example.com";
+      ASSERT_FALSE(
+          Client::answer_a(client.query(cache_->endpoints()[0], name.c_str()))
+              .empty())
+          << name;
+    }
+  }
+  ASSERT_TRUE(spin_until([&] {
+    return cache_->live_leases() == static_cast<std::size_t>(kHosts);
+  }));
+
+  start_cache();  // second generation, same directory
+  EXPECT_EQ(cache_->warm_entries(), static_cast<uint64_t>(kHosts));
+  ASSERT_TRUE(spin_until([&] {
+    return counter_sum(cache_->metrics(), "lease_readoption_total", "result",
+                       "resumed") >= 1;
+  })) << "no lease re-adopted: the SUBSCRIBE never reached the authority";
+
+  const auto metrics = cache_->metrics();
+  const uint64_t resumed =
+      counter_sum(metrics, "lease_readoption_total", "result", "resumed") +
+      counter_sum(metrics, "lease_readoption_total", "result", "serial_gap");
+  const uint64_t rejected =
+      counter_sum(metrics, "lease_readoption_total", "result", "rejected");
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(resumed + rejected, static_cast<uint64_t>(kHosts));
+  EXPECT_EQ(counter_sum(authority_->metrics(), "authority_lease_readoptions",
+                        "result", "resumed"),
+            resumed);
+  // The leases still honoured are exactly the re-adopted ones.
+  EXPECT_EQ(cache_->live_leases(), resumed);
+
+  // A demoted entry is still served warm, as a plain TTL entry.
+  Client client;
+  for (const char* name : {"h0.example.com", "h2999.example.com"}) {
+    EXPECT_FALSE(
+        Client::answer_a(client.query(cache_->endpoints()[0], name)).empty());
+  }
   EXPECT_EQ(counter_sum(cache_->metrics(), "resolver_queries", "side",
                         "upstream"),
             0u);

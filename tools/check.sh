@@ -38,12 +38,15 @@
 #                  are allocation-free (hot_path_alloc_test: dnscupd's
 #                  query fast path and dnscached's cache-hit fast path),
 #                  then start a 2-worker dnscupd on loopback and drive it
-#                  with dnsflood for 2 s, then put a dnscached in front
-#                  of it and drive that for 2 s with plain queries over
-#                  200 names (every query after the first pass is a
-#                  hit); each flood fails on more than 1% lost answers or
-#                  none answered.  The JSON results are kept under
-#                  build/bench/.
+#                  with dnsflood for 2 s, then put a dnscached with a
+#                  --cache-dir in front of it and drive that for 2 s with
+#                  plain queries over 200 names (every query after the
+#                  first pass is a hit); each flood fails on more than 1%
+#                  lost answers or none answered.  The flooded dnscached
+#                  then restarts warm from its --cache-dir and fails
+#                  unless its banner reports all 200 names reloaded (the
+#                  line perfbench's cache_hit waits for).  The JSON
+#                  results are kept under build/bench/.
 #   --wire-micro   Release build, run the wire encode/decode
 #                  microbenchmark with its cache-hit and zone-lookup
 #                  rows; it self-fails if the arena encode, the view
@@ -55,12 +58,14 @@
 #                  --probe-io-backend) and prints an explicit SKIP — not
 #                  a failure — where io_uring is unavailable.
 #   --cachestore   the persistent cache-store leg: the cachestore-labeled
-#                  suites in Release (backend equivalence, warm reload,
-#                  corruption fallback, fork + kill -9 torn-file
+#                  suites in Release (backend and image equivalence, warm
+#                  reload, corruption fallback, fork + kill -9 torn-file
 #                  recovery, warm-restart e2e), then cachestore_test +
 #                  cachestore_kill_test under ASan/UBSan — the store is
 #                  raw mmap'd byte layout with CRC plumbing, exactly
-#                  where the sanitizers earn their keep.
+#                  where the sanitizers earn their keep; that leg includes
+#                  the seeded byte-mutation loop over a written image and
+#                  the resident-pages bound on a reopened 256 MiB image.
 #
 # Usage:
 #   tools/check.sh                # Release build + ctest + store sanitizers
@@ -251,10 +256,13 @@ run_bench_smoke() {
 
   # The cache side over real sockets: plain queries (no EXT) over the
   # zone's 200 names, so after the first pass every query is a cache hit
-  # answered by dnscached's fast path.
+  # answered by dnscached's fast path.  The cache persists to a
+  # --cache-dir, so the restart below comes back warm.
   echo "-- dnscached in front of dnscupd --"
+  local cache_dir="$bench_dir/smoke-cache-dir"
+  rm -rf "$cache_dir"
   "$build_dir/tools/dnscached" --port "$cache_port" \
-    --upstream "127.0.0.1:$port" --workers 1 \
+    --upstream "127.0.0.1:$port" --workers 1 --cache-dir "$cache_dir" \
     > "$bench_dir/smoke-dnscached.log" 2>&1 &
   cache=$!
   sleep 0.5
@@ -266,10 +274,32 @@ run_bench_smoke() {
   "$build_dir/tools/dnsflood" --server "127.0.0.1:$cache_port" --duration 2 \
     --sockets 4 --concurrency 16 --names 200 --lease-fraction 0 \
     --workers-label 1 --out "$cache_out"
+  kill -TERM "$cache" 2>/dev/null || true
+  wait "$cache" 2>/dev/null || true
+  check_flood "$cache_out"
+
+  # Warm restart from the same --cache-dir: the banner must report every
+  # flooded name reloaded — the line perfbench's cache_hit waits for.
+  echo "-- dnscached warm restart --"
+  local warm_log="$bench_dir/smoke-dnscached-warm.log"
+  "$build_dir/tools/dnscached" --port "$cache_port" \
+    --upstream "127.0.0.1:$port" --workers 1 --cache-dir "$cache_dir" \
+    > "$warm_log" 2>&1 &
+  cache=$!
+  sleep 0.5
   kill -TERM "$cache" "$daemon" 2>/dev/null || true
   wait "$cache" 2>/dev/null || true
   wait "$daemon" 2>/dev/null || true
-  check_flood "$cache_out"
+  local reloaded
+  reloaded=$(sed -n 's/.*warm restart: \([0-9]*\) entries reloaded.*/\1/p' \
+    "$warm_log")
+  if [ -z "$reloaded" ] || [ "$reloaded" -lt 200 ]; then
+    echo "FAIL: warm restart reloaded ${reloaded:-no} entries, want all 200" \
+         "names:"
+    cat "$warm_log"
+    return 1
+  fi
+  echo "warm restart: $reloaded entries reloaded (200 names flooded)"
   echo "bench smoke ok; results archived at $out and $cache_out"
 }
 

@@ -25,7 +25,8 @@
 // DIR/cache-shard-<i> and a restart reloads the surviving entries warm
 // (TTLs decayed by the downtime).  With the push plane up, reloaded
 // leases are announced for re-adoption so matching zone serials resume
-// CACHE-UPDATE delivery without a refetch burst.
+// CACHE-UPDATE delivery without a refetch burst; one SUBSCRIBE frame
+// holds about 2,200 of them, and the rest demote to plain TTL entries.
 //
 // The daemon prints one status line per second (with --verbose)
 // aggregating all workers; SIGINT and SIGTERM both run the graceful
