@@ -179,8 +179,8 @@ class SinkTransport final : public net::Transport {
 
 /// One cache-hit datagram through CachingResolver + LeaseClient over a
 /// warm cache holding every name, each leased (as after dnscached's warm
-/// restart) and each key's rate ring full.  `image` selects
-/// MmapCacheStore at that path; empty uses the heap store.
+/// restart).  `image` selects MmapCacheStore at that path; empty uses the
+/// heap store.
 BenchResult bench_cache_hit(const char* label, const Population& pop,
                             const std::string& image, std::size_t iters) {
   metrics::MetricsRegistry registry;
@@ -216,9 +216,6 @@ BenchResult bench_cache_hit(const char* label, const Population& pop,
     granted.questions.push_back(
         dns::Question{pop.names[i], RRType::kA, RRClass::kIN, 0});
     lease.on_response(authority, granted);
-    for (int k = 0; k < 257; ++k) {
-      lease.on_client_query(pop.names[i], RRType::kA);
-    }
   }
   DNSCUP_ASSERT(lease.live_leases(0) == pop.names.size());
   std::size_t next = 0;

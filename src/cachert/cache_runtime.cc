@@ -187,7 +187,6 @@ util::Result<std::unique_ptr<CacheRuntime>> CacheRuntime::start(
         worker.router, worker.loop, cfg.upstreams, rc);
     if (cfg.dnscup) {
       core::LeaseClient::Config lc;
-      lc.renegotiate_rate_factor = cfg.renegotiate_rate_factor;
       lc.trusted_authorities = cfg.upstreams;
       lc.metrics = &worker.registry;
       worker.lease_client =

@@ -98,8 +98,6 @@ struct Config {
   net::Duration query_timeout = net::seconds(2);
   int max_retries = 2;
   uint32_t default_negative_ttl = 60;
-  /// LeaseClient renegotiation knobs (see core::LeaseClient::Config).
-  double renegotiate_rate_factor = 4.0;
 
   /// Connection-oriented push plane (src/push): when enabled every
   /// worker keeps one TCP subscription channel to `push_authority` (the

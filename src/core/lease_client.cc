@@ -71,36 +71,20 @@ LeaseClient::Stats LeaseClient::stats() const {
   };
 }
 
-void LeaseClient::on_client_query(const dns::Name& qname, dns::RRType qtype) {
-  const dns::NameView view(qname);
-  const server::CacheKeyView key(view, qtype);
-  observe_query(key, resolver_->cache().peek(key));
-}
-
 void LeaseClient::on_client_query(const server::CacheKeyView& key,
-                                  server::CacheEntry& hit) {
-  observe_query(key, &hit);
-}
-
-void LeaseClient::observe_query(const server::CacheKeyView& key,
-                                server::CacheEntry* entry) {
+                                  CacheEntry* entry) {
+  if (entry == nullptr) return;  // nothing cached to measure or re-negotiate
   const net::SimTime now = resolver_->loop().now();
-  rates_.record(key, now);
-  if (config_.renegotiate_rate_factor <= 0.0) return;
-  if (entry == nullptr || !entry->lease.has_value() ||
-      now >= entry->lease->expiry) {
+  entry->client_rate.record(now);
+  if (!entry->lease.has_value() || now >= entry->lease->expiry) {
     return;  // nothing leased; the normal miss path negotiates
   }
   LeaseState& lease = *entry->lease;
-  if (now - lease.last_renegotiation < config_.renegotiate_min_interval) {
-    return;
-  }
-  const double current = rates_.rate(key, now);
+  if (now - lease.last_renegotiation < kRenegotiateMinInterval) return;
   const double baseline = lease.rate_at_grant;
   if (baseline <= 0.0) return;  // warm-loaded: no grant-time rate
-  const double ratio = current / baseline;
-  if (ratio < config_.renegotiate_rate_factor &&
-      ratio > 1.0 / config_.renegotiate_rate_factor) {
+  const double ratio = entry->client_rate.rate(now) / baseline;
+  if (ratio < kRenegotiateRateFactor && ratio > 1.0 / kRenegotiateRateFactor) {
     return;  // rate still in the negotiated band
   }
   // Bookkeeping only, never persisted: no commit needed.
@@ -116,7 +100,14 @@ void LeaseClient::on_outgoing_query(dns::Message& query) {
   query.flags.ext = true;
   const net::SimTime now = resolver_->loop().now();
   for (auto& q : query.questions) {
-    q.rrc = dns::rrc_from_rate(rates_.rate(q.qname, q.qtype, now));
+    // Not only client questions go upstream: a CNAME target or a glueless
+    // NS address has no entry yet and reports the unseeded rate.
+    const dns::NameView view(q.qname);
+    const CacheEntry* entry =
+        resolver_->cache().peek(server::CacheKeyView(view, q.qtype));
+    q.rrc = dns::rrc_from_rate(entry != nullptr
+                                   ? entry->client_rate.rate(now)
+                                   : server::ClientRate::kUnseededRate);
     ++stats_.rrc_reports;
   }
 }
@@ -143,7 +134,7 @@ void LeaseClient::on_response(const net::Endpoint& from,
   } else {
     ++stats_.leases_registered;
   }
-  LeaseState lease{now + length, from, rates_.rate(q.qname, q.qtype, now)};
+  LeaseState lease{now + length, from, entry->client_rate.rate(now)};
   // The re-negotiation cooldown outlives a re-grant.
   if (entry->lease.has_value()) {
     lease.last_renegotiation = entry->lease->last_renegotiation;

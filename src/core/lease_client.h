@@ -7,6 +7,8 @@
 //  * registers leases granted via the LLT field of responses (step 2) —
 //    the cached entry then stays authoritative past its TTL while the
 //    lease is valid;
+//  * re-negotiates a lease whose record's rate drifted from the rate
+//    reported at grant (§5.1.2);
 //  * consumes unsolicited CACHE-UPDATE pushes (step 3): applies the new
 //    RRsets / invalidations to the cache and acknowledges (step 4).
 //
@@ -14,7 +16,10 @@
 // zone serials are checked so reordered or duplicated pushes cannot roll
 // the cache back to older data.  The client keeps no copy of cache state:
 // the highest serial applied per zone is the cache's zone-serial sidecar,
-// and a lease's re-negotiation bookkeeping lives in the entry's
+// a record's query rate is its entry's ClientRate (fed by every client
+// question through the entry the serve path already holds; a question
+// with no entry reports RRC 1, and an erased or evicted entry forgets its
+// rate), and a lease's re-negotiation bookkeeping lives in the entry's
 // LeaseState.
 #pragma once
 
@@ -24,7 +29,6 @@
 #include <vector>
 
 #include "core/auth.h"
-#include "core/rate_tracker.h"
 #include "dns/zone.h"
 #include "server/resolver.h"
 #include "util/metrics.h"
@@ -52,14 +56,15 @@ class LeaseClient final : public server::CachingResolver::Extension {
     uint64_t readoptions_rejected = 0;    ///< demoted to plain TTL entries
   };
 
+  /// Re-negotiate the lease when the local query rate drifts from the
+  /// rate reported at grant time by this factor (in either direction).
+  /// The refreshed EXT query carries the new RRC, letting the authority
+  /// re-decide the lease term (§5.1.2).
+  static constexpr double kRenegotiateRateFactor = 4.0;
+  /// Cooldown between re-negotiations of the same record.
+  static constexpr net::Duration kRenegotiateMinInterval = net::minutes(5);
+
   struct Config {
-    /// Re-negotiate the lease when the local query rate drifts from the
-    /// rate reported at grant time by this factor (in either direction).
-    /// The refreshed EXT query carries the new RRC, letting the authority
-    /// re-decide the lease term (§5.1.2).  0 disables re-negotiation.
-    double renegotiate_rate_factor = 4.0;
-    /// Cooldown between re-negotiations of the same record.
-    net::Duration renegotiate_min_interval = net::minutes(5);
     /// When set, pushed CACHE-UPDATEs must verify before being applied
     /// (paper §5.3); unverifiable pushes are dropped without an ack.
     /// Not owned, may be null (plain text).
@@ -82,12 +87,14 @@ class LeaseClient final : public server::CachingResolver::Extension {
   LeaseClient(server::CachingResolver& resolver, Config config);
 
   // Extension interface -----------------------------------------------
-  void on_client_query(const dns::Name& qname, dns::RRType qtype) override;
-  /// The allocation-free form for fast-path hits: the rate tracker is
-  /// probed by the borrowed key (its hash reused), and `hit` stands in
-  /// for a second cache probe.
+  /// Records the question in `entry`'s ClientRate and re-negotiates a
+  /// lease whose rate drifted.  A miss (null `entry`) records nothing:
+  /// the miss path's upstream query reports RRC 1.  Allocation-free
+  /// unless it re-negotiates.
   void on_client_query(const server::CacheKeyView& key,
-                       server::CacheEntry& hit) override;
+                       server::CacheEntry* entry) override;
+  /// Sets EXT and reports each question's RRC from its entry's
+  /// ClientRate (RRC 1 without an entry).
   void on_outgoing_query(dns::Message& query) override;
   void on_response(const net::Endpoint& from,
                    const dns::Message& response) override;
@@ -142,7 +149,6 @@ class LeaseClient final : public server::CachingResolver::Extension {
 
   /// Value snapshot of the registry-backed counters.
   Stats stats() const;
-  const RateTracker& client_rates() const { return rates_; }
 
  private:
   struct Instruments {
@@ -164,10 +170,6 @@ class LeaseClient final : public server::CachingResolver::Extension {
     metrics::Counter readoptions_rejected;
   };
 
-  /// One client question: records its rate and re-negotiates a lease
-  /// whose rate drifted.  `entry` is the cached record (null when none).
-  void observe_query(const server::CacheKeyView& key,
-                     server::CacheEntry* entry);
   /// True when `serial` is newer than the highest serial applied for
   /// `zone` (read from the cache's zone-serial sidecar), or none was.
   bool newer_serial(const dns::Name& zone, uint32_t serial) const;
@@ -178,7 +180,6 @@ class LeaseClient final : public server::CachingResolver::Extension {
 
   server::CachingResolver* resolver_;
   Config config_;
-  RateTracker rates_;
   Instruments stats_;
 };
 

@@ -1,9 +1,32 @@
 #include "server/cache.h"
 
+#include <algorithm>
+
 #include "server/cache_store.h"
 #include "util/assert.h"
 
 namespace dnscup::server {
+
+namespace {
+/// EWMA weight of the newest gap.
+constexpr double kSmoothing = 1.0 / 8;
+/// One SimTime tick, in seconds.
+constexpr double kMinGap = 1e-6;
+}  // namespace
+
+void ClientRate::record(net::SimTime now) {
+  if (last_ != kNever) {
+    const double gap = std::max(net::to_seconds(now - last_), 0.0);
+    mean_gap_ = seeded() ? mean_gap_ + kSmoothing * (gap - mean_gap_) : gap;
+  }
+  last_ = now;
+}
+
+double ClientRate::rate(net::SimTime now) const {
+  if (!seeded()) return kUnseededRate;
+  const double idle = net::to_seconds(now - last_);
+  return 1.0 / std::max({mean_gap_, idle, kMinGap});
+}
 
 ResolverCache::ResolverCache(std::size_t capacity,
                              metrics::MetricsRegistry* metrics)

@@ -90,6 +90,35 @@ struct LeaseState {
   net::SimTime last_renegotiation = 0;
 };
 
+/// The client query rate of one cached record, which DNScup's cache side
+/// reports as RRC (paper §5.2): an EWMA of the gaps between client
+/// queries, seeded by the first gap.  Poisson arrivals (paper Figure 4)
+/// make one smoothed inter-arrival estimate per record enough.  Like
+/// rate_at_grant it is never persisted: a new or warm-loaded entry starts
+/// unseeded.
+class ClientRate {
+ public:
+  /// The rate read before two queries were recorded, and for a question
+  /// with no entry at all: one query per hour, RRC 1.
+  static constexpr double kUnseededRate = 1.0 / 3600.0;
+
+  void record(net::SimTime now);
+  /// Queries per second at `now`: 1 / max(mean gap, time since the last
+  /// query), so an idle record decays.  Gaps are floored at one SimTime
+  /// tick, so the rate stays finite when queries share a microsecond.
+  double rate(net::SimTime now) const;
+  bool seeded() const { return mean_gap_ >= 0.0; }
+
+  bool operator==(const ClientRate&) const = default;
+
+ private:
+  static constexpr net::SimTime kNever = INT64_MIN;
+
+  net::SimTime last_ = kNever;  ///< the latest recorded query
+  double mean_gap_ = -1.0;      ///< seconds; negative while unseeded
+};
+static_assert(sizeof(ClientRate) == 16);
+
 struct CacheEntry {
   dns::RRset rrset;               ///< empty for negative entries
   bool negative = false;
@@ -97,6 +126,9 @@ struct CacheEntry {
   net::SimTime inserted_at = 0;
   net::SimTime expiry = 0;        ///< TTL expiry
   std::optional<LeaseState> lease;
+  /// Fed by the DNScup cache side on every client question for this
+  /// record; a refresh or pushed update keeps it, erasure forgets it.
+  ClientRate client_rate;
 
   /// Usable at `now`: TTL-fresh, or covered by a still-valid lease (a
   /// leased record is authoritative until the lease expires or an update

@@ -164,7 +164,7 @@ bool CachingResolver::try_fast_hit(const net::Endpoint& from,
   // touch of the answered entry.
   ++stats_.client_queries;
   ++stats_.fast_hits;
-  if (extension_ != nullptr) extension_->on_client_query(key, *entry);
+  if (extension_ != nullptr) extension_->on_client_query(key, entry);
   cache_.record_hit(key, *entry);
 
   dns::Flags rf;
@@ -232,7 +232,11 @@ void CachingResolver::handle_client_query(const net::Endpoint& from,
 }
 
 void CachingResolver::resolve(const Name& qname, RRType qtype, Callback cb) {
-  if (extension_ != nullptr) extension_->on_client_query(qname, qtype);
+  if (extension_ != nullptr) {
+    const dns::NameView view(qname);
+    const CacheKeyView key(view, qtype);
+    extension_->on_client_query(key, cache_.peek(key));
+  }
   resolve_internal(qname, qtype, 0, std::move(cb));
 }
 

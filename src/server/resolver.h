@@ -6,10 +6,12 @@
 // in-flight questions, and retries/fails over across servers on timeout.
 //
 // DNScup's cache-side module attaches through the Extension interface: it
-// can decorate outgoing queries (EXT flag + RRC rate report), observe
-// responses (granted LLT -> lease registration) and consume unsolicited
-// messages (CACHE-UPDATE pushes).  With no extension installed this is a
-// plain TTL resolver — the backward-compatible deployment story of §1.
+// can observe every client question with its cache entry (the record's
+// client-rate estimate lives there), decorate outgoing queries (EXT flag +
+// RRC rate report), observe responses (granted LLT -> lease registration)
+// and consume unsolicited messages (CACHE-UPDATE pushes).  With no
+// extension installed this is a plain TTL resolver — the
+// backward-compatible deployment story of §1.
 //
 // Serving has two paths.  A plain one-question query that hits a fresh
 // entry is answered by try_fast_hit straight from the request bytes: the
@@ -77,20 +79,16 @@ class CachingResolver {
   class Extension {
    public:
     virtual ~Extension() = default;
-    /// Observes every client-side question (cache hit or miss) — this is
-    /// where DNScup measures the local query rate it reports as RRC.
-    virtual void on_client_query(const dns::Name& qname, dns::RRType qtype) {
-      (void)qname;
-      (void)qtype;
-    }
-    /// The same observation for a question try_fast_hit answers: `key`
-    /// views the request bytes (valid only for the call) and `hit` is the
-    /// fresh entry about to be served (the hook may update its lease's
-    /// unpersisted re-negotiation bookkeeping).  The default materializes
-    /// the name and forwards to the owning form.
-    virtual void on_client_query(const CacheKeyView& key, CacheEntry& hit) {
-      (void)hit;
-      on_client_query(key.name.materialize(), key.type);
+    /// Observes every client-side question, before it is answered or
+    /// resolved — this is where DNScup measures the local query rate it
+    /// reports as RRC.  `key` is valid only for the call (on the fast
+    /// path it views the request bytes); `entry` is the question's cache
+    /// entry, fresh or not, and null on a miss.  The hook may update the
+    /// entry's unpersisted state (its ClientRate, its lease's
+    /// re-negotiation bookkeeping).
+    virtual void on_client_query(const CacheKeyView& key, CacheEntry* entry) {
+      (void)key;
+      (void)entry;
     }
     /// Chance to mutate an outgoing upstream query (set EXT flag, RRC).
     virtual void on_outgoing_query(dns::Message& query) { (void)query; }

@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "server/cache.h"
@@ -228,6 +230,62 @@ TEST(ResolverCache, ForEachVisitsAll) {
   std::size_t visited = 0;
   cache.for_each([&](const CacheKey&, const CacheEntry&) { ++visited; });
   EXPECT_EQ(visited, 2u);
+}
+
+// -- ClientRate: the per-entry estimator behind the RRC ----------------------
+
+TEST(ClientRate, UnseededUntilTheSecondQuery) {
+  ClientRate rate;
+  EXPECT_FALSE(rate.seeded());
+  EXPECT_EQ(rate.rate(net::seconds(5)), ClientRate::kUnseededRate);
+  rate.record(net::seconds(1));
+  EXPECT_FALSE(rate.seeded());
+  EXPECT_EQ(rate.rate(net::seconds(5)), ClientRate::kUnseededRate);
+  rate.record(net::seconds(3));
+  ASSERT_TRUE(rate.seeded());
+  EXPECT_DOUBLE_EQ(rate.rate(net::seconds(3)), 0.5);  // the first gap
+  EXPECT_EQ(dns::rrc_from_rate(ClientRate::kUnseededRate), 1);
+}
+
+TEST(ClientRate, EachGapMovesTheMeanAnEighth) {
+  ClientRate rate;
+  rate.record(0);
+  rate.record(net::seconds(1));
+  rate.record(net::seconds(10));  // gap 9: mean 1 + (9 - 1) / 8 = 2
+  EXPECT_DOUBLE_EQ(rate.rate(net::seconds(10)), 0.5);
+}
+
+TEST(ClientRate, IdleRecordDecays) {
+  ClientRate rate;
+  for (int i = 0; i <= 50; ++i) rate.record(i * net::milliseconds(100));
+  const net::SimTime last = net::seconds(5);
+  EXPECT_DOUBLE_EQ(rate.rate(last), 10.0);
+  EXPECT_DOUBLE_EQ(rate.rate(last + net::milliseconds(50)), 10.0);
+  EXPECT_DOUBLE_EQ(rate.rate(last + net::seconds(2)), 0.5);
+  EXPECT_EQ(dns::rrc_from_rate(rate.rate(last + net::hours(1))), 1);
+}
+
+TEST(ClientRate, SharedMicrosecondStaysFinite) {
+  ClientRate rate;
+  for (int i = 0; i < 10; ++i) rate.record(net::seconds(1));
+  EXPECT_TRUE(std::isfinite(rate.rate(net::seconds(1))));
+  EXPECT_DOUBLE_EQ(rate.rate(net::seconds(1)), 1e6);  // one per tick
+}
+
+TEST(ClientRate, CachePutKeepsItAndEraseForgetsIt) {
+  ResolverCache cache;
+  cache.put(a_set("a.com", 300, 1), 0);
+  CacheEntry* entry = cache.peek(mk("a.com"), RRType::kA);
+  entry->client_rate.record(0);
+  entry->client_rate.record(net::seconds(1));
+  const ClientRate measured = entry->client_rate;
+  EXPECT_EQ(&cache.put(a_set("A.COM", 300, 2), net::seconds(2)), entry);
+  EXPECT_EQ(entry->client_rate, measured);
+  cache.apply_update(a_set("a.com", 300, 3), net::seconds(3));
+  EXPECT_EQ(entry->client_rate, measured);
+  ASSERT_TRUE(cache.invalidate(mk("a.com"), RRType::kA));
+  EXPECT_FALSE(cache.put(a_set("a.com", 300, 4), net::seconds(4))
+                   .client_rate.seeded());
 }
 
 }  // namespace

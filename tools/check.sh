@@ -3,7 +3,10 @@
 # run the durable-store suites (store_test, recovery_test) under
 # AddressSanitizer + UBSan — the WAL/snapshot layer does raw byte-level
 # I/O and crash-path truncation, exactly where the sanitizers earn their
-# keep.  --sanitize widens the sanitizer leg to the whole tree.
+# keep.  The cache side's cache_fast_path_test and lease_client_test ride
+# in the same leg: the fast path reads untrusted request bytes and does
+# the per-entry client-rate arithmetic on every hit.  --sanitize widens
+# the sanitizer leg to the whole tree.
 #
 # Tests are labeled unit / sim / e2e / push / planner / cachestore (see
 # tests/CMakeLists.txt).
@@ -452,10 +455,13 @@ case "$mode" in
   *)
     echo "== tier-1: release build + ctest =="
     run_suite "$repo_root/build" "$e2e"
-    echo "== durable store + wire parser + daemon pair under" \
+    echo "== durable store + wire parser + cache side + daemon pair under" \
          "address,undefined sanitizers =="
     # malformed_packet_test rides along: the hostile-input wire-decoder
     # suite is the other place raw byte handling hides memory bugs.
+    # cache_fast_path_test drives the cache-hit fast path over untrusted
+    # request bytes, and with lease_client_test the per-entry client-rate
+    # arithmetic (RRC reads, re-negotiation) that runs on every hit.
     # e2e_daemons_test puts the cache-side runtime's socket plumbing
     # under ASan/UBSan too; io_backend_parity_test covers the backends'
     # buffer-ownership edges (recycling after partial pulls,
@@ -465,8 +471,10 @@ case "$mode" in
       -DDNSCUP_SANITIZE=address,undefined
     cmake --build "$repo_root/build-store-sanitize" -j "$jobs" \
       --target store_test recovery_test malformed_packet_test \
+               cache_fast_path_test lease_client_test \
                e2e_daemons_test io_backend_parity_test
     sanitize_tests='store_test|recovery_test|malformed_packet_test'
+    sanitize_tests="$sanitize_tests|cache_fast_path_test|lease_client_test"
     if [ "$e2e" = yes ]; then
       sanitize_tests="$sanitize_tests|e2e_daemons_test|io_backend_parity_test"
     fi
