@@ -3,10 +3,11 @@
 //
 // Per scale (default 1M and 10M (cache, record) pairs):
 //
-//   * demand table  — populate a sharded DemandShard arena with every
-//     pair and measure writer upsert and reader probe throughput; the
-//     table is the structure that makes 10M pairs affordable (32 B/pair,
-//     zero-lock reads).
+//   * demand table  — grow a sharded DemandShard from empty to every
+//     pair and measure writer upsert (index rebuilds included) and reader
+//     probe throughput (the workers' hazard-slot probe), plus the bytes
+//     per pair the table holds: memory follows the pairs, reads take no
+//     lock.
 //   * tradeoff curves — sweep the storage budget (fraction of the pair
 //     count) through plan_storage_constrained and the message budget
 //     (fraction of the polling maximum Σλ) through plan_comm_constrained,
@@ -86,13 +87,14 @@ std::string fmt(const char* format, double value) {
   return buf;
 }
 
-/// Demand-table leg: arena population + lock-free probe throughput.
+/// Demand-table leg: growth from empty + lock-free probe throughput.
 std::string bench_table(std::size_t pairs, util::Rng& rng) {
   const int shards = 8;
-  const std::size_t per_shard = pairs / shards + 1;
+  // Keys split binomially over the shards; the ceiling allocates
+  // nothing, so every shard may take them all.
   std::vector<std::unique_ptr<planner::DemandShard>> table;
   for (int s = 0; s < shards; ++s) {
-    table.push_back(std::make_unique<planner::DemandShard>(per_shard));
+    table.push_back(std::make_unique<planner::DemandShard>(pairs));
   }
   std::vector<uint64_t> keys;
   keys.reserve(pairs);
@@ -105,38 +107,42 @@ std::string bench_table(std::size_t pairs, util::Rng& rng) {
   std::size_t inserted_count = 0;
   for (uint64_t key : keys) {
     bool inserted = false;
-    auto* slot = table[(key >> 56) % shards]->upsert(key, &inserted);
-    if (slot != nullptr && inserted) {
-      slot->observed = 1.0f;
+    planner::DemandShard& shard = *table[(key >> 56) % shards];
+    const uint32_t id = shard.upsert(key, &inserted);
+    if (id != planner::DemandShard::kNoPair && inserted) {
+      shard.set_planned(id, 0);
       ++inserted_count;
     }
   }
   const double populate_s = seconds_since(t0);
+  for (auto& shard : table) shard->collect({});
 
   // Reader probes over existing keys, in a scrambled order so the probe
   // pattern is cache-hostile like a live worker's.
   const std::size_t probes = std::min<std::size_t>(pairs, 2'000'000);
+  planner::DemandShard::HazardSlot hazard{nullptr};
   uint64_t found = 0;
   const auto t1 = Clock::now();
   for (std::size_t i = 0; i < probes; ++i) {
     const uint64_t key = keys[(i * 0x9E3779B97F4A7C15ull) % keys.size()];
-    found += table[(key >> 56) % shards]->find(key) != nullptr;
+    found += table[(key >> 56) % shards]->find(key, hazard) !=
+             planner::kUnplannedBits;
   }
   const double probe_s = seconds_since(t1);
 
-  std::size_t slot_count = 0;
-  for (const auto& shard : table) slot_count += shard->slot_count();
-  const double bytes = static_cast<double>(slot_count) *
-                       sizeof(planner::DemandShard::Slot);
-  std::printf("  table: %zu pairs in %d shards (%zu slots, %.0f MiB): "
+  std::size_t bytes = 0;
+  for (const auto& shard : table) bytes += shard->bytes();
+  const double per_pair =
+      static_cast<double>(bytes) / static_cast<double>(inserted_count);
+  std::printf("  table: %zu pairs in %d shards (%.0f MiB, %.1f B/pair): "
               "%.2fM upserts/s, %.2fM finds/s\n",
-              inserted_count, shards, slot_count, bytes / (1 << 20),
-              inserted_count / populate_s / 1e6, probes / probe_s / 1e6);
+              inserted_count, shards, static_cast<double>(bytes) / (1 << 20),
+              per_pair, inserted_count / populate_s / 1e6,
+              probes / probe_s / 1e6);
   std::string json = "      \"table\": {\"shards\": 8";
   json += ", \"inserted\": " + std::to_string(inserted_count);
-  json += ", \"slot_count\": " + std::to_string(slot_count);
-  json += ", \"arena_bytes\": " + std::to_string(
-              static_cast<unsigned long long>(bytes));
+  json += ", \"table_bytes\": " + std::to_string(bytes);
+  json += ", \"bytes_per_pair\": " + fmt("%.1f", per_pair);
   json += ", \"upserts_per_s\": " + fmt("%.0f", inserted_count / populate_s);
   json += ", \"finds_per_s\": " + fmt("%.0f", probes / probe_s);
   json += ", \"found\": " + std::to_string(found) + "}";

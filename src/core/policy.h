@@ -45,19 +45,22 @@ using MaxLeaseFn = std::function<net::Duration(const dns::Name&, dns::RRType)>;
 /// Seam between the authority and an online lease planner (src/planner).
 ///
 /// The planner runs on its own thread off the query hot path; a grant
-/// policy talks to it through two thread-safe calls: `observe` feeds a
-/// demand sample (a non-blocking enqueue into the planner's per-worker
-/// MPSC queue — overflow drops and is counted), and `assignment` probes
-/// the planner's published plan (a lock-free read of the demand table).
-/// Core deliberately only knows this interface, never the planner's
-/// types, so the dependency points planner → core.
+/// policy talks to it through two calls, made only by the one worker
+/// thread that owns the source: `observe` feeds a demand sample (a
+/// non-blocking enqueue into the planner's per-worker MPSC queue —
+/// overflow drops and is counted), and `assignment` probes the
+/// planner's published plan (a read of the demand table that takes no
+/// lock, allocates nothing and never waits).  The planner forgets a
+/// pair whose leases have all lapsed, so a pair can read as unplanned
+/// again.  Core deliberately only knows this interface, never the
+/// planner's types, so the dependency points planner → core.
 class LeaseAssignmentSource {
  public:
   virtual ~LeaseAssignmentSource() = default;
 
   struct Assignment {
-    /// False until the planner has processed at least one observation for
-    /// the pair.
+    /// False until the planner has processed an observation for the
+    /// pair, and again once it has reclaimed the pair.
     bool planned = false;
     /// Assigned lease length in seconds; 0 means the optimizer deprived
     /// the pair (deny, cache falls back to TTL polling).

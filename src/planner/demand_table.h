@@ -1,26 +1,36 @@
-// Sharded demand table: the planner's view of every live
-// (cache, record) pair, sized for 10M+ pairs.
+// Sharded demand table: the planner's view of the live (cache, record)
+// pairs, holding memory in proportion to them.
 //
-// Memory layout is one arena of 32-byte slots per shard (open-addressed,
-// linear probing, power-of-two sized, insert-only).  The concurrency
-// contract is single-writer / multi-reader with no locks:
+// Each shard has two parts:
 //
-//   * the planner thread is the only writer: it upserts slots, runs the
-//     estimator over the slot's state, and publishes the assigned lease
-//     length into `planned_bits`;
-//   * worker threads only ever read two atomic fields — `key` (acquire,
-//     to locate a slot) and `planned_bits` (the assignment probe on the
-//     grant path).  The estimator fields between them are planner-private,
-//     so there is nothing to tear.
+//   * an open-addressed index (linear probing, power-of-two sized) of
+//     16-byte entries mapping a pair key to its published `planned_bits`
+//     and its dense pair id.  It starts at 16 entries and is rebuilt into
+//     a fresh allocation as pairs arrive: at double size when live pairs
+//     fill it, at the size the live pairs need when tombstones do;
+//   * planner-private per-pair state (Pair) in a vector indexed by the
+//     dense id, grown on demand.  Ids are dense in [0, id_limit()); an
+//     erased pair's id is recycled by the next insert.
 //
-// Insert-only keeps reads coherent without versioning: a probe chain can
-// never be broken by a deletion, and a slot's key never changes once
-// published (release store after the payload fields are filled).  Pair
-// turnover is handled one level up: the incremental planners assign
-// length 0 to pairs whose forecast demand decays to zero, and the table
-// is sized (capacity / shards, ~85% max load) so the steady-state pair
-// population fits; when a shard fills, new pairs are rejected and counted
-// — the authority denies them leases (plain TTL semantics).
+// `ceiling` bounds the live pairs; it allocates nothing.  At the ceiling
+// upsert() refuses new pairs, and the LeasePlanner reclaims pairs whose
+// leases have lapsed (lease_planner.h) before counting a pair as dropped.
+//
+// Concurrency: the planner thread is the only writer, serving workers
+// read lock-free.
+//
+//   * A reader publishes the index it probes in its own hazard slot:
+//     store the pointer, re-check that it is still current, probe, clear.
+//     A rebuild retires the old index, and collect() frees a retired
+//     index only when no hazard slot holds it.
+//   * Within one index an entry's key only moves empty -> key ->
+//     tombstone: inserts never reuse a tombstone, rebuilds clear them.
+//     A reader that finds its key, reads planned_bits and then reads the
+//     same key again has read that pair's value; an entry erased
+//     underneath it reads as unknown.  Unknown means deny, which is plain
+//     TTL semantics: a reader never gets another pair's lease.
+//   * A rebuild copies the live entries' {key, planned_bits}; a reader
+//     still on the old index sees the values as of the copy.
 //
 // The pair key is a 64-bit splitmix of (holder endpoint, name hash,
 // rrtype).  A collision merges two pairs' demand — harmless for planning
@@ -29,20 +39,22 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "dns/name.h"
 #include "dns/rdata.h"
 #include "net/endpoint.h"
+#include "net/time.h"
 #include "planner/lambda_estimator.h"
 
 namespace dnscup::planner {
 
-/// Sentinel planned_bits value: pair present but not yet planned (readers
-/// deny the pair a lease).  An all-ones float pattern is a NaN, so it can
-/// never alias a real assigned length.
+/// Sentinel planned_bits value: pair unknown, or present but not yet
+/// planned (readers deny the pair a lease).  An all-ones float pattern is
+/// a NaN, so it can never alias a real assigned length.
 inline constexpr uint32_t kUnplannedBits = 0xFFFFFFFFu;
 
 uint64_t pair_key(const net::Endpoint& holder, std::size_t name_hash,
@@ -55,53 +67,75 @@ inline uint64_t pair_key(const net::Endpoint& holder, const dns::Name& name,
 
 class DemandShard {
  public:
-  struct Slot {
-    /// 0 = empty.  Written once (release) after the payload fields.
-    std::atomic<uint64_t> key{0};
-    /// Last observed rate (q/s) — planner-thread private.
-    float observed = 0.0f;
-    /// Estimator state — planner-thread private.
+  /// One generation of the index; readers reach it only through find().
+  struct Index;
+  /// A reader thread's hazard slot: the index it is probing, or null.
+  using HazardSlot = std::atomic<const Index*>;
+
+  /// upsert()'s answer at the ceiling.
+  static constexpr uint32_t kNoPair = 0xFFFFFFFFu;
+
+  /// Planner-private per-pair state, indexed by the dense id.
+  struct Pair {
     LambdaEstimator::State est;
-    /// Maximal lease L_i in seconds — planner-thread private.
-    float max_lease_s = 0.0f;
-    /// bit_cast of the assigned lease length in seconds, or
-    /// kUnplannedBits.  Read by worker threads on the grant path.
-    std::atomic<uint32_t> planned_bits{kUnplannedBits};
+    /// Planner-clock time after which no lease granted on one of the
+    /// pair's applied observations can still be live.
+    net::Duration lapses_at = 0;
+    /// The pair's index entry; kNoPair while the id is free.
+    uint32_t entry = kNoPair;
   };
-  static_assert(sizeof(Slot) == 32);
 
-  /// Sizes the arena at the smallest power of two holding `capacity`
-  /// entries under ~85% load (minimum 64 slots).
-  explicit DemandShard(std::size_t capacity);
+  explicit DemandShard(std::size_t ceiling);
+  ~DemandShard();
+  DemandShard(const DemandShard&) = delete;
+  DemandShard& operator=(const DemandShard&) = delete;
 
-  /// Writer (planner thread) only.  Returns the pair's slot, inserting an
-  /// empty one when unseen; null when the shard is at capacity
-  /// (`inserted` untouched in that case).
-  Slot* upsert(uint64_t key, bool* inserted);
+  /// Reader probe (any thread) for a pair_key(): the pair's
+  /// planned_bits, or kUnplannedBits when the pair is unknown.  Takes no
+  /// lock, allocates nothing and never waits.  `hazard` belongs to the
+  /// calling thread.
+  uint32_t find(uint64_t key, HazardSlot& hazard) const;
 
-  /// Lock-free reader probe; null when the pair is unknown.
-  const Slot* find(uint64_t key) const;
+  // ---- writer (planner thread) only ----
 
-  /// Dense per-shard pair id — the slot's arena index.  Stable for the
-  /// table's lifetime (insert-only), which is what lets the incremental
-  /// planners use it as their entry handle.
-  uint32_t index_of(const Slot* slot) const {
-    return static_cast<uint32_t>(slot - slots_.get());
+  /// Returns the pair_key()'s id, inserting it (unplanned, Pair reset)
+  /// when unseen; kNoPair when the pair is new and the shard is at its
+  /// ceiling (`inserted` untouched in that case).
+  uint32_t upsert(uint64_t key, bool* inserted);
+  /// Removes the pair: its entry becomes a tombstone, its id is freed.
+  void erase(uint32_t id);
+
+  bool live(uint32_t id) const {
+    return id < pairs_.size() && pairs_[id].entry != kNoPair;
   }
-  Slot* slot_at(uint32_t id) { return &slots_[id]; }
-  const Slot* slot_at(uint32_t id) const { return &slots_[id]; }
+  Pair& pair(uint32_t id) { return pairs_[id]; }
+  uint32_t planned(uint32_t id) const;
+  void set_planned(uint32_t id, uint32_t bits);
+  /// Every live id is below this.
+  uint32_t id_limit() const { return static_cast<uint32_t>(pairs_.size()); }
 
+  /// Frees the retired indexes that no hazard slot holds.
+  void collect(std::span<const HazardSlot* const> hazards);
+  /// Heap bytes held: index generations (current and retired) plus the
+  /// per-pair state and free-id vectors.
+  std::size_t bytes() const;
+
+  /// Live pairs (any thread; relaxed).
   std::size_t size() const {
     return size_.load(std::memory_order_relaxed);
   }
-  std::size_t capacity() const { return cap_; }
-  std::size_t slot_count() const { return mask_ + 1; }
+  std::size_t ceiling() const { return ceiling_; }
 
  private:
-  std::unique_ptr<Slot[]> slots_;
-  uint64_t mask_ = 0;
-  std::size_t cap_ = 0;
-  /// Relaxed: occupancy telemetry for readers; exact for the writer.
+  void rebuild(std::size_t slots);
+
+  std::size_t ceiling_;
+  std::unique_ptr<Index> index_;          ///< current generation (owned)
+  std::atomic<const Index*> current_;     ///< index_, as readers see it
+  std::vector<std::unique_ptr<Index>> retired_;
+  std::size_t tombstones_ = 0;            ///< in index_
+  std::vector<Pair> pairs_;
+  std::vector<uint32_t> free_ids_;
   std::atomic<std::size_t> size_{0};
 };
 

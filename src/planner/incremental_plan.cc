@@ -20,13 +20,22 @@ void mark(std::vector<uint32_t>* dirty, uint32_t id) {
   if (dirty != nullptr && id != kNoId) dirty->push_back(id);
 }
 
+/// The entry for `id`, growing `entries` up to it on first use.
+template <typename Entry>
+Entry& entry_for(std::vector<Entry>& entries, std::size_t max_ids,
+                 uint32_t id) {
+  DNSCUP_ASSERT(id < max_ids);
+  if (id >= entries.size()) entries.resize(std::size_t{id} + 1);
+  return entries[id];
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // IncrementalSlp
 
 IncrementalSlp::IncrementalSlp(std::size_t max_ids, double storage_budget)
-    : budget_(storage_budget), entries_(max_ids) {
+    : max_ids_(max_ids), budget_(storage_budget) {
   DNSCUP_ASSERT(storage_budget >= 0.0);
   frontier_ = order_.end();
 }
@@ -37,13 +46,12 @@ uint32_t IncrementalSlp::boundary_id() const {
 
 void IncrementalSlp::update(uint32_t id, double rate, double max_lease,
                             std::vector<uint32_t>* dirty) {
-  DNSCUP_ASSERT(id < entries_.size());
+  Entry& e = entry_for(entries_, max_ids_, id);
   // The boundary's truncated length depends on the used-storage total, so
   // it is dirty whenever anything changes.
   mark(dirty, boundary_id());
   mark(dirty, id);
 
-  Entry& e = entries_[id];
   if (e.present) {
     auto it = order_.find(OrderKey{e.rate, id});
     DNSCUP_ASSERT(it != order_.end());
@@ -116,6 +124,7 @@ void IncrementalSlp::fix_frontier(std::vector<uint32_t>* dirty) {
 }
 
 double IncrementalSlp::lease_for(uint32_t id) const {
+  if (id >= entries_.size()) return 0.0;
   const Entry& e = entries_[id];
   if (!e.present) return 0.0;
   if (e.granted) return e.max_lease;
@@ -188,15 +197,14 @@ void IncrementalSlp::replan() {
 
 IncrementalDeprivation::IncrementalDeprivation(std::size_t max_ids,
                                                double message_budget)
-    : budget_(message_budget), entries_(max_ids) {
+    : max_ids_(max_ids), budget_(message_budget) {
   DNSCUP_ASSERT(message_budget >= 0.0);
 }
 
 void IncrementalDeprivation::update(uint32_t id, double rate,
                                     double max_lease,
                                     std::vector<uint32_t>* dirty) {
-  DNSCUP_ASSERT(id < entries_.size());
-  Entry& e = entries_[id];
+  Entry& e = entry_for(entries_, max_ids_, id);
   if (e.present) {
     traffic_ -= e.deprived
                     ? e.rate
@@ -266,6 +274,7 @@ void IncrementalDeprivation::rebalance(std::vector<uint32_t>* dirty) {
 }
 
 double IncrementalDeprivation::lease_for(uint32_t id) const {
+  if (id >= entries_.size()) return 0.0;
   const Entry& e = entries_[id];
   if (!e.present || e.deprived) return 0.0;
   return e.max_lease;

@@ -2,14 +2,15 @@
 // (core/dynamic_lease.h, paper §4.2), maintaining the λ-ordered grant
 // frontier under single-pair updates instead of re-sorting the world.
 //
-// Entries are addressed by a dense id (the demand-table slot index); each
-// planner keeps an ordered set of (rate, id) keys using exactly the batch
-// planners' comparison — rate order with ascending-id tie-break — so the
-// incremental order is the order plan_storage_constrained /
-// plan_comm_constrained would sort the same entries into when exported in
-// ascending-id order.  An update is an O(log n) set reinsertion plus a
-// frontier walk whose length is the number of assignments the update
-// actually flips.
+// Entries are addressed by a dense id (the demand table's pair id, below
+// a bound fixed at construction; per-id storage grows with the largest id
+// seen, not with the bound); each planner keeps an ordered set of
+// (rate, id) keys using exactly the batch planners' comparison — rate
+// order with ascending-id tie-break — so the incremental order is the
+// order plan_storage_constrained / plan_comm_constrained would sort the
+// same entries into when exported in ascending-id order.  An update is
+// an O(log n) set reinsertion plus a frontier walk whose length is the
+// number of assignments the update actually flips.
 //
 //  * IncrementalSlp (storage-constrained, §4.2.1) is *exact*: the greedy
 //    grant set is the maximal prefix of the λ-descending order whose full
@@ -73,7 +74,8 @@ class IncrementalPlanner {
 /// Storage-constrained dynamic lease (§4.2.1), incremental and exact.
 class IncrementalSlp final : public IncrementalPlanner {
  public:
-  /// `max_ids` bounds the id space (demand-table slot count).
+  /// `max_ids` bounds the id space (the demand table's ceiling); it
+  /// allocates nothing.
   IncrementalSlp(std::size_t max_ids, double storage_budget);
 
   void update(uint32_t id, double rate, double max_lease,
@@ -112,11 +114,12 @@ class IncrementalSlp final : public IncrementalPlanner {
   /// truncation.
   void fix_frontier(std::vector<uint32_t>* dirty);
 
+  std::size_t max_ids_;
   double budget_;
   double used_ = 0.0;        ///< Σ P over fully granted entries
   double trunc_len_ = 0.0;   ///< boundary entry's truncated length
   std::size_t granted_ = 0;  ///< fully granted count
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  ///< by id, up to the largest id updated
   std::set<OrderKey, Cmp> order_;
   /// First not-fully-granted entry; the granted set is exactly
   /// [order_.begin(), frontier_).
@@ -169,9 +172,10 @@ class IncrementalDeprivation final : public IncrementalPlanner {
   /// bounded deprivation sweep from the smallest-λ end.
   void rebalance(std::vector<uint32_t>* dirty);
 
+  std::size_t max_ids_;
   double budget_;
   double traffic_ = 0.0;  ///< Σ renewals (leased) + Σ λ (deprived)
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  ///< by id, up to the largest id updated
   std::set<OrderKey, Cmp> order_;     ///< all present entries
   std::set<OrderKey, Cmp> deprived_;  ///< the deprived subset
 };

@@ -7,9 +7,9 @@
 // *forecast* rather than the last window — lease lengths should track
 // where load is going, not where it was.
 //
-// The estimator is a stateless policy over a tiny per-pair State embedded
-// in the demand-table slot (8 bytes: level + trend), so switching
-// estimators costs no memory and the 10M-pair table stays 32 B/slot:
+// The estimator is a stateless policy over a tiny per-pair State kept in
+// the demand table's per-pair state (8 bytes: level + trend), so
+// switching estimators costs no memory:
 //
 //   last-window  level = x_t                       (the pre-planner status quo)
 //   ewma         level = α·x_t + (1-α)·level       (smooths report noise)

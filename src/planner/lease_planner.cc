@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/assert.h"
 
@@ -16,6 +17,27 @@ float planned_from_bits(uint32_t bits) {
 
 uint32_t bits_from_planned(float lease_s) {
   return std::bit_cast<uint32_t>(lease_s);
+}
+
+constexpr net::Duration kNever = std::numeric_limits<net::Duration>::max();
+
+/// The planner's clock for lease lapses.
+net::Duration planner_now() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// An observation's maximal lease in clock units, never short of the
+/// record's: the observation carries it rounded to the nearest float, so
+/// the next float up bounds it.  Absurd values saturate at a century, so
+/// the sum with a clock reading cannot overflow.
+net::Duration lease_span(float max_lease_s) {
+  constexpr double kCentury = 100.0 * 365 * 86400;
+  const double s =
+      std::nextafter(max_lease_s, std::numeric_limits<float>::max());
+  if (!(s > 0.0)) return 0;  // also NaN
+  return static_cast<net::Duration>(std::ceil(std::min(s, kCentury) * 1e6));
 }
 
 }  // namespace
@@ -36,12 +58,12 @@ LeasePlanner::LeasePlanner(Config config)
   shards_.reserve(config_.shards);
   for (int s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(per_shard);
-    const std::size_t slots = shard->table.slot_count();
+    const std::size_t ids = shard->table.ceiling();
     if (config_.mode == Mode::kStorage) {
-      shard->plan = std::make_unique<IncrementalSlp>(slots, shard_budget);
+      shard->plan = std::make_unique<IncrementalSlp>(ids, shard_budget);
     } else {
       shard->plan =
-          std::make_unique<IncrementalDeprivation>(slots, shard_budget);
+          std::make_unique<IncrementalDeprivation>(ids, shard_budget);
     }
     shards_.push_back(std::move(shard));
   }
@@ -51,18 +73,22 @@ LeasePlanner::LeasePlanner(Config config)
         config_.queue_capacity, &wake_));
     handles_.push_back(
         std::make_unique<WorkerHandle>(this, queues_.back().get()));
+    hazards_.push_back(handles_.back()->hazard());
   }
 
   pairs_gauge_ = registry_.gauge("planner_pairs");
   capacity_gauge_ = registry_.gauge("planner_capacity");
-  capacity_gauge_.set(static_cast<double>(
-      static_cast<std::size_t>(config_.shards) * per_shard));
+  std::size_t ceiling = 0;
+  for (const auto& shard : shards_) ceiling += shard->table.ceiling();
+  capacity_gauge_.set(static_cast<double>(ceiling));
+  table_bytes_gauge_ = registry_.gauge("planner_table_bytes");
   planned_gauge_ = registry_.gauge("planner_granted_pairs");
   headroom_gauge_ = registry_.gauge("planner_budget_headroom");
   headroom_gauge_.set(budget);
   observations_ = registry_.counter("planner_observations");
   dropped_ = registry_.counter("planner_observations_dropped");
   table_full_ = registry_.counter("planner_table_full");
+  reclaimed_ = registry_.counter("planner_reclaimed");
   assignments_changed_ = registry_.counter("planner_assignments_changed");
   update_latency_us_ = registry_.histogram("planner_update_latency_us");
   replan_latency_us_ = registry_.histogram("planner_replan_latency_us");
@@ -82,6 +108,9 @@ void LeasePlanner::stop() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   wake_.wake();
   if (thread_.joinable()) thread_.join();
+  // The workers have stopped probing (the runtime joins them first), so
+  // no hazard slot can hold a retired index any more.
+  for (auto& shard : shards_) shard->table.collect({});
 }
 
 core::LeaseAssignmentSource* LeasePlanner::handle_for_worker(int worker) {
@@ -96,21 +125,16 @@ std::size_t LeasePlanner::pairs() const {
   return total;
 }
 
-core::LeaseAssignmentSource::Assignment LeasePlanner::lookup(
-    uint64_t key) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_of(key))];
-  const DemandShard::Slot* slot = shard.table.find(key);
-  if (slot == nullptr) return {};
-  const uint32_t bits = slot->planned_bits.load(std::memory_order_relaxed);
-  if (bits == kUnplannedBits) return {};
-  return {true, static_cast<double>(planned_from_bits(bits))};
-}
-
 core::LeaseAssignmentSource::Assignment
 LeasePlanner::WorkerHandle::assignment(const net::Endpoint& holder,
                                        const dns::Name& name,
                                        dns::RRType type) {
-  return planner_->lookup(pair_key(holder, name, type));
+  const uint64_t key = pair_key(holder, name, type);
+  const Shard& shard =
+      *planner_->shards_[static_cast<std::size_t>(planner_->shard_of(key))];
+  const uint32_t bits = shard.table.find(key, hazard_);
+  if (bits == kUnplannedBits) return {};
+  return {true, static_cast<double>(planned_from_bits(bits))};
 }
 
 void LeasePlanner::WorkerHandle::observe(const net::Endpoint& holder,
@@ -148,6 +172,9 @@ void LeasePlanner::drain_and_apply() {
   for (auto& queue : queues_) {
     queue->drain(batch_);
     if (batch_.empty()) continue;
+    // Every observation in the batch was enqueued, and so its lease
+    // granted, before this reading.
+    const net::Duration now = planner_now();
     std::lock_guard lock(stats_mutex_);
     for (const Observation& o : batch_) {
       // Sampled timing (1 in 64): two clock reads per observation would
@@ -155,7 +182,7 @@ void LeasePlanner::drain_and_apply() {
       const bool timed = (timing_sample_++ & 63u) == 0;
       const auto t0 = timed ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point{};
-      apply(o, &dirty_);
+      apply(o, now);
       if (timed) {
         const auto dt = std::chrono::steady_clock::now() - t0;
         update_latency_us_.add(
@@ -167,37 +194,42 @@ void LeasePlanner::drain_and_apply() {
   if (applied_this_round > 0) {
     applied_.fetch_add(applied_this_round, std::memory_order_acq_rel);
   }
+  for (auto& shard : shards_) shard->table.collect(hazards_);
 }
 
-void LeasePlanner::apply(const Observation& o,
-                         std::vector<uint32_t>* dirty) {
+void LeasePlanner::apply(const Observation& o, net::Duration now) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_of(o.key))];
   bool inserted = false;
-  DemandShard::Slot* slot = shard.table.upsert(o.key, &inserted);
-  if (slot == nullptr) {
+  uint32_t id = shard.table.upsert(o.key, &inserted);
+  if (id == DemandShard::kNoPair && reclaim(shard, now) > 0) {
+    id = shard.table.upsert(o.key, &inserted);
+  }
+  if (id == DemandShard::kNoPair) {
     table_full_.inc();
     return;
   }
-  if (inserted) {
-    slot->est = {};
-  } else if (slot->est.seeded()) {
+  DemandShard::Pair& pair = shard.table.pair(id);
+  if (!inserted && pair.est.seeded()) {
     estimator_abs_error_.add(
-        std::abs(estimator_.forecast(slot->est) -
+        std::abs(estimator_.forecast(pair.est) -
                  static_cast<double>(o.rate)));
   }
-  slot->observed = o.rate;
-  slot->max_lease_s = o.max_lease_s;
+  // Never earlier than before: a lease granted under a longer maximal
+  // lease may still be live.
+  pair.lapses_at =
+      std::max(pair.lapses_at, now + lease_span(o.max_lease_s));
+  shard.next_reclaim = std::min(shard.next_reclaim, pair.lapses_at);
   const double forecast =
-      estimator_.update(slot->est, static_cast<double>(o.rate));
+      estimator_.update(pair.est, static_cast<double>(o.rate));
 
-  dirty->clear();
-  const uint32_t id = shard.table.index_of(slot);
+  dirty_.clear();
   // A zero forecast removes the pair from the optimization (lease 0);
-  // the slot stays, and the next positive observation re-plans it.
+  // the pair stays until it is reclaimed, and the next positive
+  // observation re-plans it.
   shard.plan->update(id, forecast,
-                     static_cast<double>(o.max_lease_s), dirty);
+                     static_cast<double>(o.max_lease_s), &dirty_);
   bool self_published = false;
-  for (const uint32_t d : *dirty) {
+  for (const uint32_t d : dirty_) {
     if (publish(shard, d)) assignments_changed_.inc();
     self_published |= d == id;
   }
@@ -206,14 +238,39 @@ void LeasePlanner::apply(const Observation& o,
   if (!self_published) publish(shard, id);
 }
 
+std::size_t LeasePlanner::reclaim(Shard& shard, net::Duration now) {
+  if (now <= shard.next_reclaim) return 0;
+  std::size_t freed = 0;
+  net::Duration next = kNever;
+  for (uint32_t id = 0; id < shard.table.id_limit(); ++id) {
+    if (!shard.table.live(id)) continue;
+    const net::Duration lapses_at = shard.table.pair(id).lapses_at;
+    if (lapses_at >= now) {
+      next = std::min(next, lapses_at);
+      continue;
+    }
+    // Out of the plan first: its budget share goes to the next pairs in
+    // λ order, whose new assignments publish below.
+    dirty_.clear();
+    shard.plan->update(id, 0.0, 0.0, &dirty_);
+    shard.table.erase(id);
+    for (const uint32_t d : dirty_) {
+      if (publish(shard, d)) assignments_changed_.inc();
+    }
+    ++freed;
+  }
+  shard.next_reclaim = next;
+  reclaimed_.inc(freed);
+  return freed;
+}
+
 bool LeasePlanner::publish(Shard& shard, uint32_t id) {
-  DemandShard::Slot* slot = shard.table.slot_at(id);
-  if (slot->key.load(std::memory_order_relaxed) == 0) return false;
+  if (!shard.table.live(id)) return false;
   const uint32_t bits = bits_from_planned(
       static_cast<float>(shard.plan->lease_for(id)));
-  const uint32_t prev = slot->planned_bits.load(std::memory_order_relaxed);
+  const uint32_t prev = shard.table.planned(id);
   if (prev == bits) return false;
-  slot->planned_bits.store(bits, std::memory_order_relaxed);
+  shard.table.set_planned(id, bits);
   return prev != kUnplannedBits;
 }
 
@@ -233,12 +290,14 @@ void LeasePlanner::maybe_replan() {
   uint64_t changed = 0;
   {
     std::lock_guard lock(stats_mutex_);
+    const net::Duration clock = planner_now();
     for (auto& shard : shards_) {
+      // Lapsed pairs leave before the batch plan is rebuilt.
+      reclaim(*shard, clock);
       shard->plan->replan();
-      // Re-publish every present pair: the batch plan is authoritative
-      // for all of them, not just recently-updated ids.
-      const std::size_t slots = shard->table.slot_count();
-      for (uint32_t id = 0; id < slots; ++id) {
+      // Re-publish every live pair: the batch plan is authoritative for
+      // all of them, not just recently-updated ids.
+      for (uint32_t id = 0; id < shard->table.id_limit(); ++id) {
         if (publish(*shard, id)) ++changed;
       }
     }
@@ -253,11 +312,14 @@ void LeasePlanner::maybe_replan() {
 void LeasePlanner::refresh_gauges() {
   pairs_gauge_.set(static_cast<double>(pairs()));
   std::size_t granted = 0;
+  std::size_t bytes = 0;
   double headroom = 0.0;
   for (const auto& shard : shards_) {
     granted += shard->plan->granted();
+    bytes += shard->table.bytes();
     headroom += shard->plan->budget() - shard->plan->cost_used();
   }
+  table_bytes_gauge_.set(static_cast<double>(bytes));
   planned_gauge_.set(static_cast<double>(granted));
   headroom_gauge_.set(headroom);
 }

@@ -10,14 +10,28 @@
 //              and counts, like every other cross-thread feed in the
 //              runtime);
 //   assignment worker ← planner: a lock-free probe of the demand table's
-//              published `planned_bits`.
+//              published `planned_bits`, guarded by the worker handle's
+//              own hazard slot (demand_table.h).
 //
 // The planner thread drains all queues, folds each observation through
-// the LambdaEstimator into the slot's state, applies the forecast to the
+// the LambdaEstimator into the pair's state, applies the forecast to the
 // incremental optimizer (O(log n) frontier maintenance), and publishes
 // the changed assignments.  Every replan_interval it additionally runs
 // the full batch planner per shard — the drift backstop that makes the
 // published plan byte-for-byte the offline optimizer's output again.
+//
+// Memory follows the live pairs: the table and the optimizers' per-pair
+// storage grow as pairs arrive, and `capacity` is only a ceiling.  A pair
+// whose last applied observation is older than its maximal lease is
+// reclaimed — it leaves the optimizer, which hands its budget share to
+// the next pairs in λ order, and leaves the table, which recycles its id.
+// Sweeps run on the replan cadence and when an insert meets the ceiling.
+// The rule is safe because a grant is at most the record's maximal lease
+// and is made before the observation it enqueues is applied: a pair idle
+// that long holds no lease granted on an observed query.  (A lease whose
+// observation was dropped on a full queue can outlive the reclaim; its
+// track-file tuple still drives the CACHE-UPDATE push, so only the plan's
+// budget count is short until that lease expires.)
 //
 // Budgets are split evenly across planner shards (like the runtime's
 // per-worker lease bounds), so shard planning stays independent.
@@ -27,6 +41,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -57,7 +72,8 @@ class LeasePlanner {
     /// Full batch replan cadence (the drift backstop); <= 0 disables.
     net::Duration replan_interval = net::seconds(30);
     int shards = 4;
-    /// Total pair capacity, split across shards.
+    /// Ceiling on live pairs, split across shards.  Allocates nothing:
+    /// memory follows the pairs actually planned.
     std::size_t capacity = 1 << 21;
     /// Producer count: one observation queue per worker.
     int workers = 1;
@@ -107,9 +123,12 @@ class LeasePlanner {
   };
 
   struct Shard {
-    explicit Shard(std::size_t capacity) : table(capacity) {}
+    explicit Shard(std::size_t ceiling) : table(ceiling) {}
     DemandShard table;
     std::unique_ptr<IncrementalPlanner> plan;
+    /// Lower bound on the earliest lapses_at of the shard's live pairs:
+    /// a sweep before it could free nothing.
+    net::Duration next_reclaim = std::numeric_limits<net::Duration>::max();
   };
 
   class WorkerHandle final : public core::LeaseAssignmentSource {
@@ -125,9 +144,14 @@ class LeasePlanner {
                  dns::RRType type, double rate_qps,
                  double max_lease_s) override;
 
+    const DemandShard::HazardSlot* hazard() const { return &hazard_; }
+
    private:
     LeasePlanner* planner_;
     runtime::BoundedMpscQueue<Observation>* queue_;
+    /// Written by the handle's one worker on every probe; on its own
+    /// cache line so two workers' probes never contend.
+    alignas(64) DemandShard::HazardSlot hazard_{nullptr};
   };
 
   explicit LeasePlanner(Config config);
@@ -137,13 +161,15 @@ class LeasePlanner {
     return static_cast<int>((key >> 56) % static_cast<uint64_t>(
                                 shards_.size()));
   }
-  core::LeaseAssignmentSource::Assignment lookup(uint64_t key) const;
 
   void run();
   void drain_and_apply();
-  void apply(const Observation& o, std::vector<uint32_t>* dirty);
-  /// Writes the current assignment for `id` into its slot; returns true
-  /// when the published value changed.
+  void apply(const Observation& o, net::Duration now);
+  /// Reclaims the shard's pairs whose leases lapsed before `now`;
+  /// returns how many.
+  std::size_t reclaim(Shard& shard, net::Duration now);
+  /// Writes the current assignment for a live `id` into its entry;
+  /// returns true when a planned value changed.
   bool publish(Shard& shard, uint32_t id);
   void maybe_replan();
   void refresh_gauges();
@@ -155,6 +181,7 @@ class LeasePlanner {
   std::vector<std::unique_ptr<runtime::BoundedMpscQueue<Observation>>>
       queues_;
   std::vector<std::unique_ptr<WorkerHandle>> handles_;
+  std::vector<const DemandShard::HazardSlot*> hazards_;  ///< handles'
   std::deque<Observation> batch_;  ///< drain scratch (planner thread)
   std::vector<uint32_t> dirty_;    ///< update scratch (planner thread)
 
@@ -166,6 +193,8 @@ class LeasePlanner {
   metrics::Counter observations_;
   metrics::Counter dropped_;
   metrics::Counter table_full_;
+  metrics::Counter reclaimed_;
+  metrics::Gauge table_bytes_gauge_;
   metrics::Counter assignments_changed_;
   metrics::HistogramMetric update_latency_us_;
   /// Planner-thread private: sampled-timing phase for update_latency_us_.

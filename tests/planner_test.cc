@@ -3,8 +3,11 @@
 // and the LeasePlanner thread end-to-end in-process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,43 +24,132 @@ namespace {
 
 // ---- demand table ---------------------------------------------------------
 
-TEST(DemandShard, InsertFindAndStableIds) {
+/// Distinct, well-mixed test keys (never the 0/1 sentinels).
+uint64_t test_key(uint64_t i) {
+  return pair_key(net::Endpoint{0x0A000001, 53}, i, dns::RRType::kA);
+}
+
+/// Single-threaded reader probe.
+uint32_t probe(const DemandShard& shard, uint64_t key) {
+  DemandShard::HazardSlot hazard{nullptr};
+  const uint32_t bits = shard.find(key, hazard);
+  EXPECT_EQ(hazard.load(), nullptr);  // cleared after every probe
+  return bits;
+}
+
+TEST(DemandShard, InsertFindAndDenseIds) {
   DemandShard shard(100);
   bool inserted = false;
-  DemandShard::Slot* a = shard.upsert(42, &inserted);
-  ASSERT_NE(a, nullptr);
+  const uint32_t a = shard.upsert(test_key(1), &inserted);
   EXPECT_TRUE(inserted);
-  const uint32_t id_a = shard.index_of(a);
-
-  DemandShard::Slot* again = shard.upsert(42, &inserted);
-  EXPECT_EQ(again, a);
+  EXPECT_EQ(a, 0u);  // ids are dense, in arrival order
+  EXPECT_EQ(shard.upsert(test_key(1), &inserted), a);
   EXPECT_FALSE(inserted);
+  EXPECT_EQ(shard.upsert(test_key(2), &inserted), 1u);
+  EXPECT_TRUE(inserted);
 
-  const DemandShard::Slot* found = shard.find(42);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(shard.index_of(found), id_a);
-  EXPECT_EQ(shard.find(43), nullptr);
-  EXPECT_EQ(shard.size(), 1u);
+  shard.set_planned(a, 123);
+  EXPECT_EQ(probe(shard, test_key(1)), 123u);
+  EXPECT_EQ(probe(shard, test_key(3)), kUnplannedBits);  // unknown
+  EXPECT_EQ(shard.size(), 2u);
+  EXPECT_EQ(shard.id_limit(), 2u);
 }
 
-TEST(DemandShard, NewSlotsReadAsUnplanned) {
+TEST(DemandShard, NewPairsReadAsUnplanned) {
   DemandShard shard(16);
   bool inserted = false;
-  DemandShard::Slot* slot = shard.upsert(7, &inserted);
-  ASSERT_NE(slot, nullptr);
-  EXPECT_EQ(slot->planned_bits.load(), kUnplannedBits);
+  const uint32_t id = shard.upsert(test_key(7), &inserted);
+  ASSERT_NE(id, DemandShard::kNoPair);
+  EXPECT_EQ(shard.planned(id), kUnplannedBits);
+  EXPECT_EQ(probe(shard, test_key(7)), kUnplannedBits);
 }
 
-TEST(DemandShard, RejectsAtCapacity) {
+TEST(DemandShard, RejectsAtTheCeiling) {
   DemandShard shard(16);
   bool inserted = false;
-  for (uint64_t k = 1; k <= shard.capacity(); ++k) {
-    ASSERT_NE(shard.upsert(k, &inserted), nullptr);
+  for (uint64_t k = 0; k < shard.ceiling(); ++k) {
+    ASSERT_NE(shard.upsert(test_key(k), &inserted), DemandShard::kNoPair);
   }
-  EXPECT_EQ(shard.upsert(9999, &inserted), nullptr);
-  EXPECT_EQ(shard.size(), shard.capacity());
-  // Existing keys still resolve after the rejection.
-  EXPECT_NE(shard.find(1), nullptr);
+  EXPECT_EQ(shard.upsert(test_key(9999), &inserted), DemandShard::kNoPair);
+  EXPECT_EQ(shard.size(), shard.ceiling());
+  // Existing pairs still resolve after the refusal.
+  EXPECT_EQ(shard.upsert(test_key(0), &inserted), 0u);
+  EXPECT_FALSE(inserted);
+}
+
+TEST(DemandShard, GrowthKeepsEveryAssignment) {
+  DemandShard shard(1 << 20);
+  const std::size_t empty_bytes = shard.bytes();
+  constexpr uint32_t kPairs = 10000;  // ~10 index doublings from 16 slots
+  bool inserted = false;
+  for (uint32_t i = 0; i < kPairs; ++i) {
+    const uint32_t id = shard.upsert(test_key(i), &inserted);
+    ASSERT_EQ(id, i);
+    shard.set_planned(id, i);
+  }
+  shard.collect({});
+  for (uint32_t i = 0; i < kPairs; ++i) {
+    ASSERT_EQ(probe(shard, test_key(i)), i) << "pair " << i;
+  }
+  // Memory follows the pairs, not the ceiling: the 16-byte index entries
+  // at <= 3/4 load plus per-pair state stay well under 128 B a pair.
+  EXPECT_LT(empty_bytes, 1024u);
+  EXPECT_LT(shard.bytes(), std::size_t{kPairs} * 128);
+}
+
+TEST(DemandShard, ReclaimedPairReadsUnplannedAndItsIdIsRecycled) {
+  DemandShard shard(64);
+  bool inserted = false;
+  const uint32_t a = shard.upsert(test_key(1), &inserted);
+  const uint32_t b = shard.upsert(test_key(2), &inserted);
+  shard.set_planned(a, 10);
+  shard.set_planned(b, 20);
+
+  shard.erase(a);
+  EXPECT_FALSE(shard.live(a));
+  EXPECT_EQ(probe(shard, test_key(1)), kUnplannedBits);
+  EXPECT_EQ(probe(shard, test_key(2)), 20u);
+  EXPECT_EQ(shard.size(), 1u);
+
+  const uint32_t c = shard.upsert(test_key(3), &inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(c, a);  // recycled
+  EXPECT_EQ(probe(shard, test_key(3)), kUnplannedBits);
+  shard.set_planned(c, 30);
+  EXPECT_EQ(probe(shard, test_key(3)), 30u);
+  EXPECT_EQ(probe(shard, test_key(1)), kUnplannedBits);
+  EXPECT_EQ(probe(shard, test_key(2)), 20u);
+}
+
+TEST(DemandShard, TombstonesAreClearedWithoutGrowingTheIndex) {
+  // Churn at a steady live count: rebuilds clear tombstones in place of
+  // doubling, so memory stays where the first rounds took it.
+  DemandShard shard(1024);
+  constexpr uint32_t kLive = 100;
+  bool inserted = false;
+  std::vector<uint32_t> previous;
+  std::size_t warm_bytes = 0;
+  for (uint32_t round = 0; round < 200; ++round) {
+    std::vector<uint32_t> current;
+    for (uint32_t j = 0; j < kLive; ++j) {
+      const uint32_t id = shard.upsert(test_key(round * kLive + j), &inserted);
+      ASSERT_TRUE(inserted);
+      shard.set_planned(id, round * kLive + j);
+      current.push_back(id);
+    }
+    for (const uint32_t id : previous) shard.erase(id);
+    previous = std::move(current);
+    shard.collect({});
+    if (round < 10) {
+      warm_bytes = std::max(warm_bytes, shard.bytes());
+    } else {
+      ASSERT_LE(shard.bytes(), warm_bytes) << "round " << round;
+    }
+  }
+  EXPECT_EQ(shard.size(), kLive);
+  for (uint32_t j = 0; j < kLive; ++j) {
+    EXPECT_EQ(probe(shard, test_key(199 * kLive + j)), 199 * kLive + j);
+  }
 }
 
 TEST(DemandShard, PairKeyDistinguishesComponents) {
@@ -67,36 +159,7 @@ TEST(DemandShard, PairKeyDistinguishesComponents) {
   const uint64_t base = pair_key(a, name, dns::RRType::kA);
   EXPECT_NE(base, pair_key(b, name, dns::RRType::kA));
   EXPECT_NE(base, pair_key(a, name, dns::RRType::kAAAA));
-  EXPECT_NE(base, 0u);  // 0 is the empty-slot sentinel
-}
-
-TEST(DemandShard, ConcurrentReadersSeeConsistentSlots) {
-  DemandShard shard(4096);
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> torn{0};
-  // Readers probe random keys; any slot they resolve must carry the key
-  // they asked for (the release-store publication contract).
-  std::thread reader([&] {
-    util::Rng rng(7);
-    while (!stop.load(std::memory_order_acquire)) {
-      const uint64_t key = static_cast<uint64_t>(rng.uniform_int(1, 4000));
-      const DemandShard::Slot* slot = shard.find(key);
-      if (slot != nullptr &&
-          slot->key.load(std::memory_order_acquire) != key) {
-        torn.fetch_add(1);
-      }
-    }
-  });
-  bool inserted = false;
-  for (uint64_t k = 1; k <= 3000; ++k) {
-    DemandShard::Slot* slot = shard.upsert(k, &inserted);
-    ASSERT_NE(slot, nullptr);
-    slot->planned_bits.store(static_cast<uint32_t>(k),
-                             std::memory_order_relaxed);
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(base, 1u);  // 0 and 1 are the empty and tombstone sentinels
 }
 
 // ---- λ estimators ---------------------------------------------------------
@@ -512,6 +575,13 @@ TEST(LeasePlanner, MetricsExposePlannerState) {
   ASSERT_NE(pairs, nullptr);
   EXPECT_DOUBLE_EQ(pairs->gauge_value, 1.0);
   EXPECT_NE(snapshot.find("planner_update_latency_us"), nullptr);
+  EXPECT_NE(snapshot.find("planner_reclaimed"), nullptr);
+  const auto* bytes = snapshot.find("planner_table_bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_GT(bytes->gauge_value, 0.0);
+  const auto* capacity = snapshot.find("planner_capacity");
+  ASSERT_NE(capacity, nullptr);
+  EXPECT_DOUBLE_EQ(capacity->gauge_value, 2048.0);  // the ceiling
   planner->stop();
 }
 
@@ -539,6 +609,221 @@ TEST(LeasePlanner, CleanStopUnderChurn) {
   feeder.join();
   planner->stop();  // must not hang or crash with queued observations
   SUCCEED();
+}
+
+// ---- memory follows demand -----------------------------------------------
+
+// ThreadSanitizer maps several shadow bytes for every application byte a
+// program touches, so resident growth scales by that much in its build.
+#if defined(__SANITIZE_THREAD__)
+constexpr int64_t kShadowFactor = 8;
+#else
+constexpr int64_t kShadowFactor = 1;
+#endif
+
+/// This process's resident set (VmRSS), in bytes.
+int64_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoll(line.substr(6)) * 1024;
+    }
+  }
+  return -1;
+}
+
+/// Distinct holders: one pair per index with a shared name.
+net::Endpoint holder_of(int i) {
+  return net::Endpoint{0x0A000000u + static_cast<uint32_t>(i >> 16),
+                       static_cast<uint16_t>(i & 0xFFFF)};
+}
+
+TEST(LeasePlanner, ResidencyFollowsThePairsNotTheCeiling) {
+  LeasePlanner::Config config;  // default ceiling: 2,097,152 pairs
+  config.poll_interval = net::milliseconds(1);
+  const int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  auto planner = LeasePlanner::start(config);
+  core::LeaseAssignmentSource* handle = planner->handle_for_worker(0);
+  const auto name = dns::Name::parse("resident.example.com").value();
+  constexpr int kPairs = 10000;
+  for (int i = 0; i < kPairs; ++i) {
+    handle->observe(holder_of(i), name, dns::RRType::kA, 1.0, 3600.0);
+    // Stay inside the observation queue's bound.
+    if ((i + 1) % 1000 == 0) wait_applied(*planner, i + 1);
+  }
+  EXPECT_EQ(planner->pairs(), static_cast<std::size_t>(kPairs));
+  const int64_t growth = resident_bytes() - before;
+  EXPECT_LT(growth, kShadowFactor * (int64_t{8} << 20))
+      << "VmRSS grew by " << growth << " B";
+  const auto snapshot = planner->metrics(0);
+  const auto* bytes = snapshot.find("planner_table_bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_LT(bytes->gauge_value, 4.0 * (1 << 20));
+  planner->stop();
+}
+
+TEST(LeasePlanner, ChurnThroughTheCeilingReclaimsInsteadOfRefusing) {
+  auto config = fast_config();
+  config.shards = 1;
+  config.capacity = 1024;
+  config.storage_budget = 1e6;  // every pair granted: only the ceiling binds
+  auto planner = LeasePlanner::start(config);
+  core::LeaseAssignmentSource* handle = planner->handle_for_worker(0);
+  const auto name = dns::Name::parse("churn.example.com").value();
+  constexpr int kCeiling = 1024;
+  constexpr int kRounds = 10;  // 10x the ceiling in distinct pairs
+  constexpr double kMaxLease = 0.02;  // s
+  for (int round = 0; round < kRounds; ++round) {
+    // The previous round's leases lapse, whatever the host's speed: the
+    // sleep starts after the planner applied that round.
+    if (round > 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (int j = 0; j < kCeiling; ++j) {
+      handle->observe(holder_of(round * kCeiling + j), name, dns::RRType::kA,
+                      1.0, kMaxLease);
+    }
+    wait_applied(*planner, static_cast<uint64_t>(round + 1) * kCeiling);
+    ASSERT_LE(planner->pairs(), static_cast<std::size_t>(kCeiling))
+        << "round " << round;
+  }
+  const auto snapshot = planner->metrics(0);
+  EXPECT_EQ(snapshot.counter_total("planner_observations_dropped"), 0u);
+  EXPECT_EQ(snapshot.counter_total("planner_table_full"), 0u);
+  EXPECT_EQ(snapshot.counter_total("planner_reclaimed"),
+            static_cast<uint64_t>(kRounds - 1) * kCeiling);
+  for (int j = 0; j < kCeiling; ++j) {
+    const auto a = handle->assignment(holder_of((kRounds - 1) * kCeiling + j),
+                                      name, dns::RRType::kA);
+    ASSERT_TRUE(a.planned) << "last-round pair " << j;
+    EXPECT_GT(a.lease_s, 0.0);
+  }
+  planner->stop();
+}
+
+TEST(LeasePlanner, RestartedCacheGetsTheBudgetOfItsLapsedIdentity) {
+  auto config = fast_config();
+  config.shards = 1;
+  constexpr int kNames = 8;
+  // Rate 1 q/s and a 1 s maximal lease give P = L / (L + 1/λ) = 0.5
+  // exactly, so kNames pairs fill a budget of kNames / 2 exactly.
+  constexpr double kRate = 1.0;
+  constexpr double kMaxLease = 1.0;
+  config.storage_budget = kNames * 0.5;
+  auto planner = LeasePlanner::start(config);
+  core::LeaseAssignmentSource* handle = planner->handle_for_worker(0);
+  // A cache's lease identity is its upstream endpoint; a restarted
+  // dnscached comes back on a fresh ephemeral port.
+  const net::Endpoint before_restart{0x7F000001, 40000};
+  const net::Endpoint after_restart{0x7F000001, 40001};
+  std::vector<dns::Name> names;
+  for (int i = 0; i < kNames; ++i) {
+    std::string text = "n";
+    text += std::to_string(i);
+    text += ".example.com";
+    names.push_back(dns::Name::parse(text).value());
+  }
+
+  for (const auto& name : names) {
+    handle->observe(before_restart, name, dns::RRType::kA, kRate, kMaxLease);
+  }
+  wait_applied(*planner, kNames);
+  for (const auto& name : names) {
+    const auto a = handle->assignment(before_restart, name, dns::RRType::kA);
+    ASSERT_TRUE(a.planned);
+    ASSERT_EQ(a.lease_s, kMaxLease) << "the first identity fills the budget";
+  }
+
+  // Past the first identity's maximal lease with margin; the second
+  // identity's own pairs stay well inside theirs until the replan.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  for (const auto& name : names) {
+    handle->observe(after_restart, name, dns::RRType::kA, kRate, kMaxLease);
+  }
+  wait_applied(*planner, 2 * kNames);
+  const uint64_t replans_before = planner->replans();
+  planner->replan_now();
+  for (int i = 0; i < 5000 && planner->replans() == replans_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(planner->replans(), replans_before);
+
+  int granted = 0;
+  for (const auto& name : names) {
+    const auto a = handle->assignment(after_restart, name, dns::RRType::kA);
+    if (a.planned && a.lease_s == kMaxLease) ++granted;
+    EXPECT_FALSE(
+        handle->assignment(before_restart, name, dns::RRType::kA).planned)
+        << "the lapsed identity's pair is reclaimed";
+  }
+  EXPECT_EQ(granted, kNames);
+  EXPECT_EQ(planner->pairs(), static_cast<std::size_t>(kNames));
+  planner->stop();
+}
+
+TEST(LeasePlanner, ReadersNeverSeeAnotherPairsLease) {
+  auto config = fast_config();
+  config.shards = 2;
+  config.capacity = 2048;  // 1024 per shard
+  config.workers = 3;      // handle 0 feeds, handles 1 and 2 read
+  config.storage_budget = 1e9;  // ample: each pair gets its own max lease
+  config.replan_interval = net::milliseconds(5);  // sweeps on the cadence
+  auto planner = LeasePlanner::start(config);
+  const auto name = dns::Name::parse("reader.example.com").value();
+  constexpr int kRounds = 8;
+  constexpr int kPerRound = 1500;  // ~750 per shard: grows, never full
+  // Pair i's maximal lease is 20 ms + i us: distinct as floats, so a
+  // planned lease names the pair it was planned for.
+  const auto lease_of = [](int i) {
+    return static_cast<double>(static_cast<float>(0.02 + i * 1e-6));
+  };
+
+  std::atomic<int> fed{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> planned_reads{0};
+  const auto reader = [&](int worker, uint64_t seed) {
+    core::LeaseAssignmentSource* handle = planner->handle_for_worker(worker);
+    util::Rng rng(seed);
+    while (!done.load(std::memory_order_acquire)) {
+      const int n = fed.load(std::memory_order_acquire);
+      if (n == 0) continue;
+      const int i = static_cast<int>(rng.uniform_int(0, n - 1));
+      const auto a = handle->assignment(holder_of(i), name, dns::RRType::kA);
+      if (!a.planned) continue;
+      planned_reads.fetch_add(1, std::memory_order_relaxed);
+      if (a.lease_s != lease_of(i)) {
+        wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread first(reader, 1, 1);
+  std::thread second(reader, 2, 2);
+
+  core::LeaseAssignmentSource* feeder = planner->handle_for_worker(0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int j = 0; j < kPerRound; ++j) {
+      const int i = round * kPerRound + j;
+      feeder->observe(holder_of(i), name, dns::RRType::kA, 1.0, lease_of(i));
+    }
+    fed.store((round + 1) * kPerRound, std::memory_order_release);
+    wait_applied(*planner, static_cast<uint64_t>(round + 1) * kPerRound);
+    // Past the round's longest lease: the next sweep reclaims it all and
+    // the next round recycles its ids.
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  }
+  done.store(true, std::memory_order_release);
+  first.join();
+  second.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(planned_reads.load(), 0u);
+  const auto snapshot = planner->metrics(0);
+  EXPECT_EQ(snapshot.counter_total("planner_observations_dropped"), 0u);
+  EXPECT_EQ(snapshot.counter_total("planner_table_full"), 0u);
+  EXPECT_GE(snapshot.counter_total("planner_reclaimed"),
+            static_cast<uint64_t>(kRounds - 1) * kPerRound);
+  planner->stop();
 }
 
 }  // namespace

@@ -32,11 +32,14 @@
 #                  (bench/ablation_online_policy fails when the planner
 #                  path strays more than 1% from the offline optimum's
 #                  message rate or over its storage budget), planner_test
-#                  under ASan/UBSan (the open-addressed demand table is
-#                  raw arena indexing), then a planner-enabled dnscupd
-#                  under TSan driven by dnsflood — the single-writer/
-#                  multi-reader table contract and the observation-queue
-#                  handoff under real load;
+#                  under ASan/UBSan (the demand table's index is raw
+#                  open-addressed indexing, rebuilt and freed as it
+#                  grows), then a planner-enabled dnscupd under TSan with
+#                  a 1024-pair ceiling and 1 s leases, driven by two
+#                  dnsflood passes on fresh ports — growth, the ceiling,
+#                  reclamation and the hazard-slot handoff under real
+#                  load; it fails unless the final metrics dump shows
+#                  planner_reclaimed > 0;
 #   --bench-smoke  Release build, assert both daemons' serve hot paths
 #                  are allocation-free (hot_path_alloc_test: dnscupd's
 #                  query fast path and dnscached's cache-hit fast path),
@@ -325,9 +328,10 @@ run_planner() {
   "$build_dir/bench/ablation_online_policy"
 
   echo "-- planner_test under address,undefined sanitizers --"
-  # The demand table is a raw open-addressed arena (pointer arithmetic,
-  # release-published keys): ASan/UBSan is where an off-by-one probe or
-  # misaligned bit_cast would surface.
+  # The demand table is raw open-addressed indexing whose retired
+  # generations are freed behind lock-free readers: ASan/UBSan is where
+  # an off-by-one probe, a use-after-free or a misaligned bit_cast would
+  # surface.
   cmake -B "$repo_root/build-store-sanitize" -S "$repo_root" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDNSCUP_SANITIZE=address,undefined
@@ -339,7 +343,7 @@ run_planner() {
   echo "-- planner-enabled dnscupd under ThreadSanitizer + dnsflood --"
   # Real load across the full planner seam: worker threads observing into
   # the MPSC queues and probing planned_bits while the planner thread
-  # plans, publishes and replans.
+  # plans, publishes, replans, grows the table and reclaims lapsed pairs.
   local tsan_dir="$repo_root/build-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -358,9 +362,16 @@ run_planner() {
     done
   } > "$zone"
   local port=$(( 20000 + RANDOM % 10000 ))
+  local metrics="$bench_dir/planner-smoke-metrics.json"
+  rm -f "$metrics"
+  # A 1024-pair ceiling under two passes of up to 1600 pairs each, and
+  # 1 s maximal leases: the first pass grows the table into the ceiling,
+  # the second (fresh ports, like a restarted cache) must reclaim the
+  # first pass's lapsed pairs.
   TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tools/dnscupd" --port "$port" \
     --zone "example.com=$zone" --workers 2 \
     --lease-storage-budget 100 --replan-interval 1 \
+    --planner-capacity 1024 --max-lease 1 --metrics-out "$metrics" \
     > "$bench_dir/planner-smoke-dnscupd.log" 2>&1 &
   local daemon=$!
   trap 'kill "$daemon" 2>/dev/null || true' RETURN
@@ -382,15 +393,36 @@ run_planner() {
     sleep 1
     waited=$(( waited + 1 ))
   done
-  "$build_dir/tools/dnsflood" --server "127.0.0.1:$port" --duration 2 \
-    --sockets 4 --concurrency 8 --names 200 --lease-fraction 0.5 \
-    --planner-label storage --out "$bench_dir/planner-smoke-flood.json"
+  local pass
+  for pass in 1 2; do
+    # Each dnsflood run binds fresh source ports: new lease identities.
+    "$build_dir/tools/dnsflood" --server "127.0.0.1:$port" --duration 2 \
+      --sockets 8 --concurrency 8 --names 200 --lease-fraction 0.5 \
+      --planner-label storage \
+      --out "$bench_dir/planner-smoke-flood-$pass.json"
+    # Past the 1 s maximal lease, so the first pass's pairs lapse.
+    if [ "$pass" = 1 ]; then sleep 2; fi
+  done
   kill -TERM "$daemon" 2>/dev/null || true
   if ! wait "$daemon"; then
     echo "FAIL: planner-enabled dnscupd exited non-zero (TSan report?)"
     cat "$bench_dir/planner-smoke-dnscupd.log"
     return 1
   fi
+  # dnscupd writes a final metrics dump on clean shutdown.
+  python3 - "$metrics" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    snapshot = json.load(f)
+def total(name):
+    return sum(m["value"] for m in snapshot["metrics"] if m["name"] == name)
+reclaimed = total("planner_reclaimed")
+print(f"planner: {total('planner_pairs'):.0f} pairs, "
+      f"{reclaimed} reclaimed, {total('planner_table_full')} refused at "
+      f"the ceiling, {total('planner_table_bytes'):.0f} table bytes")
+if reclaimed <= 0:
+    sys.exit("FAIL: no planner pair was reclaimed across the two passes")
+EOF
   echo "planner leg ok; smoke results under $bench_dir/"
 }
 
