@@ -44,28 +44,25 @@ std::size_t pair_index(const dns::Name& name) {
 class SyncPlanner final : public core::LeaseAssignmentSource {
  public:
   SyncPlanner(std::size_t pairs, double budget)
-      : estimator_(planner::EstimatorKind::kEwma),
-        plan_(pairs, budget),
-        states_(pairs) {}
+      : plan_(pairs, budget), estimates_(pairs) {}
 
   Assignment assignment(const net::Endpoint&, const dns::Name& name,
                         dns::RRType) override {
     const std::size_t id = pair_index(name);
-    if (!states_[id].seeded()) return {};
+    if (!estimates_[id].seeded()) return {};
     return {true, plan_.lease_for(static_cast<uint32_t>(id))};
   }
 
   void observe(const net::Endpoint&, const dns::Name& name, dns::RRType,
                double rate_qps, double max_lease_s) override {
     const std::size_t id = pair_index(name);
-    const double forecast = estimator_.update(states_[id], rate_qps);
+    const double forecast = estimates_[id].update(rate_qps);
     plan_.update(static_cast<uint32_t>(id), forecast, max_lease_s, &dirty_);
   }
 
  private:
-  planner::LambdaEstimator estimator_;
   planner::IncrementalSlp plan_;
-  std::vector<planner::LambdaEstimator::State> states_;
+  std::vector<planner::LambdaEstimator> estimates_;
   std::vector<uint32_t> dirty_;
 };
 

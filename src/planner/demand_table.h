@@ -77,7 +77,7 @@ class DemandShard {
 
   /// Planner-private per-pair state, indexed by the dense id.
   struct Pair {
-    LambdaEstimator::State est;
+    LambdaEstimator est;
     /// Planner-clock time after which no lease granted on one of the
     /// pair's applied observations can still be live.
     net::Duration lapses_at = 0;

@@ -1,65 +1,41 @@
-// Pluggable per-pair query-rate forecasting (the λ the optimizers plan
+// The planner's per-pair query-rate forecast (the λ the optimizers plan
 // on).
 //
 // The paper's optimizers treat λ_ij as known; live, the authority only
-// sees a stream of RRC reports per (cache, record) pair, and PAPERS.md
-// "Modeling and Predicting DNS Server Load" argues for planning on a
-// *forecast* rather than the last window — lease lengths should track
-// where load is going, not where it was.
+// sees a stream of RRC reports per (cache, record) pair.  Each pair's
+// forecast is an EWMA over those reports,
 //
-// The estimator is a stateless policy over a tiny per-pair State kept in
-// the demand table's per-pair state (8 bytes: level + trend), so
-// switching estimators costs no memory:
+//   level = α·x_t + (1-α)·level,  α = 0.3,
 //
-//   last-window  level = x_t                       (the pre-planner status quo)
-//   ewma         level = α·x_t + (1-α)·level       (smooths report noise)
-//   holt         double-exponential smoothing      (tracks ramps: forecast
-//                level + trend extrapolates one window ahead)
+// seeded by the first report.  It smooths report noise, and its whole
+// state is the level (4 bytes in the demand table's per-pair state).
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include <algorithm>
 
 namespace dnscup::planner {
 
-enum class EstimatorKind { kLastWindow, kEwma, kHolt };
+struct LambdaEstimator {
+  /// Smoothing weight of the newest report.
+  static constexpr float kAlpha = 0.3f;
 
-struct EstimatorParams {
-  double alpha = 0.3;  ///< level smoothing (ewma, holt)
-  double beta = 0.1;   ///< trend smoothing (holt)
-};
+  /// < 0 marks "unseeded" (valid because observed rates are never
+  /// negative).
+  float level = -1.0f;
 
-class LambdaEstimator {
- public:
-  /// Per-pair forecasting state.  level < 0 marks "unseeded" (valid
-  /// because observed rates are never negative).
-  struct State {
-    float level = -1.0f;
-    float trend = 0.0f;
+  bool seeded() const { return level >= 0.0f; }
 
-    bool seeded() const { return level >= 0.0f; }
-  };
+  /// Forecast for the next window; 0 when unseeded.
+  double forecast() const {
+    return seeded() ? static_cast<double>(level) : 0.0;
+  }
 
-  explicit LambdaEstimator(EstimatorKind kind, EstimatorParams params = {})
-      : kind_(kind), params_(params) {}
-
-  /// Folds one observed rate into `state` and returns the new forecast.
-  double update(State& state, double observed) const;
-
-  /// Forecast for the next window from the current state (0 when
-  /// unseeded).  Clamped at 0: a steep negative Holt trend must not
-  /// produce a negative demand rate.
-  double forecast(const State& state) const;
-
-  EstimatorKind kind() const { return kind_; }
-  const EstimatorParams& params() const { return params_; }
-
-  static std::optional<EstimatorKind> parse(std::string_view text);
-  static const char* name(EstimatorKind kind);
-
- private:
-  EstimatorKind kind_;
-  EstimatorParams params_;
+  /// Folds one observed rate in and returns the new forecast.
+  double update(double observed) {
+    const float x = static_cast<float>(std::max(observed, 0.0));
+    level = seeded() ? kAlpha * x + (1.0f - kAlpha) * level : x;
+    return forecast();
+  }
 };
 
 }  // namespace dnscup::planner

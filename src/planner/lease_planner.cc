@@ -42,9 +42,7 @@ net::Duration lease_span(float max_lease_s) {
 
 }  // namespace
 
-LeasePlanner::LeasePlanner(Config config)
-    : config_(config),
-      estimator_(config.estimator, config.estimator_params) {
+LeasePlanner::LeasePlanner(Config config) : config_(config) {
   if (config_.shards < 1) config_.shards = 1;
   if (config_.workers < 1) config_.workers = 1;
   if (config_.capacity < 1024) config_.capacity = 1024;
@@ -211,16 +209,14 @@ void LeasePlanner::apply(const Observation& o, net::Duration now) {
   DemandShard::Pair& pair = shard.table.pair(id);
   if (!inserted && pair.est.seeded()) {
     estimator_abs_error_.add(
-        std::abs(estimator_.forecast(pair.est) -
-                 static_cast<double>(o.rate)));
+        std::abs(pair.est.forecast() - static_cast<double>(o.rate)));
   }
   // Never earlier than before: a lease granted under a longer maximal
   // lease may still be live.
   pair.lapses_at =
       std::max(pair.lapses_at, now + lease_span(o.max_lease_s));
   shard.next_reclaim = std::min(shard.next_reclaim, pair.lapses_at);
-  const double forecast =
-      estimator_.update(pair.est, static_cast<double>(o.rate));
+  const double forecast = pair.est.update(static_cast<double>(o.rate));
 
   dirty_.clear();
   // A zero forecast removes the pair from the optimization (lease 0);

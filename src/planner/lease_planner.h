@@ -13,10 +13,10 @@
 //              published `planned_bits`, guarded by the worker handle's
 //              own hazard slot (demand_table.h).
 //
-// The planner thread drains all queues, folds each observation through
-// the LambdaEstimator into the pair's state, applies the forecast to the
-// incremental optimizer (O(log n) frontier maintenance), and publishes
-// the changed assignments.  Every replan_interval it additionally runs
+// The planner thread drains all queues, folds each observation into the
+// pair's λ estimate (an EWMA, lambda_estimator.h), applies the forecast
+// to the incremental optimizer (O(log n) frontier maintenance), and
+// publishes the changed assignments.  Every replan_interval it additionally runs
 // the full batch planner per shard — the drift backstop that makes the
 // published plan byte-for-byte the offline optimizer's output again.
 //
@@ -50,7 +50,6 @@
 #include "core/policy.h"
 #include "planner/demand_table.h"
 #include "planner/incremental_plan.h"
-#include "planner/lambda_estimator.h"
 #include "runtime/mpsc_queue.h"
 #include "util/metrics.h"
 
@@ -67,8 +66,6 @@ class LeasePlanner {
     Mode mode = Mode::kStorage;
     double storage_budget = 100000;  ///< expected live leases (kStorage)
     double message_budget = 1e6;     ///< messages/second (kComm)
-    EstimatorKind estimator = EstimatorKind::kEwma;
-    EstimatorParams estimator_params;
     /// Full batch replan cadence (the drift backstop); <= 0 disables.
     net::Duration replan_interval = net::seconds(30);
     int shards = 4;
@@ -176,7 +173,6 @@ class LeasePlanner {
 
   Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  LambdaEstimator estimator_;
   runtime::WakeSignal wake_;
   std::vector<std::unique_ptr<runtime::BoundedMpscQueue<Observation>>>
       queues_;

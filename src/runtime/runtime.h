@@ -1,23 +1,14 @@
-// Sharded multi-worker serving runtime.
+// Sharded multi-worker authority runtime: what dnscupd runs.
 //
-// ServingRuntime runs N workers.  Each worker owns, privately and
+// ServingRuntime runs its workers on a WorkerPool (worker_pool.h), which
+// owns the sockets, the per-worker event loop and command queue and the
+// run-to-completion loop.  On top, each worker owns, privately and
 // exclusively on its own thread:
 //
-//   * an EventLoop (retransmission timers, lease expiry),
-//   * a real UDP socket — all workers in one SO_REUSEPORT group on the
-//     configured port, so the kernel's flow hash spreads query streams
-//     across workers (per-worker ports when REUSEPORT is unavailable),
 //   * an AuthServer with its own copy of the (immutable-per-version) zone
 //     data, and
 //   * a DnscupAuthority shard: the worker's slice of the track file, its
 //     own grant policy and CACHE-UPDATE retransmission state.
-//
-// Each worker runs to completion on its own thread: it pulls a batch of
-// datagrams straight from its socket (IoBackend::receive), serves them,
-// sends the responses as one batch and, when nothing is ready, sleeps in
-// the backend's single kernel wait on the socket and its wake eventfd.
-// No datagram crosses a thread; the kernel socket queue is the only
-// inbox, and its drops are counted in udp_rx_overflow.
 //
 // The query hot path — receive, grant lease, answer, push updates — takes
 // zero locks: every touched structure is worker-private, and the only
@@ -25,7 +16,8 @@
 // over bounded MPSC queues whose pushes wake the worker's eventfd:
 //
 //   * control commands (zone reload, metrics scrape, lease collection,
-//     push-plane resolutions): closures with completion futures,
+//     push-plane resolutions): closures run through the pool's
+//     run_on_worker,
 //   * durability: lease ops stream to the single JournalWriter thread
 //     that owns the durable LeaseStore (see journal_writer.h).
 //
@@ -40,23 +32,15 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/dnscup_authority.h"
-#include "core/shard.h"
-#include "net/event_loop.h"
-#include "net/io_backend.h"
 #include "planner/lease_planner.h"
 #include "push/push_server.h"
 #include "runtime/journal_writer.h"
-#include "runtime/mpsc_queue.h"
-#include "runtime/shim_transport.h"
+#include "runtime/worker_pool.h"
 #include "server/authoritative.h"
 #include "store/lease_store.h"
 #include "util/metrics.h"
@@ -64,26 +48,9 @@
 
 namespace dnscup::runtime {
 
-struct Config {
-  /// Serving port; 0 picks an ephemeral port (reflected in endpoints()).
-  uint16_t port = 5300;
-  int workers = 1;
-  /// Try one SO_REUSEPORT group on `port`.  When binding the group fails
-  /// (old kernel), the runtime falls back to per-worker ports: worker i
-  /// serves port + i (all ephemeral when port == 0).
-  bool reuseport = true;
-  int rcvbuf_bytes = 1 << 20;
-  int sndbuf_bytes = 1 << 20;
-
-  /// Datagram I/O backend for every worker socket.  kDefault consults
-  /// DNSCUP_IO_BACKEND; an explicit kUring degrades to portable (with a
-  /// warning) when the kernel lacks what the uring backend needs.
-  net::IoBackendKind io_backend = net::IoBackendKind::kDefault;
-
-  /// Worker CPU affinity: worker i's thread is pinned to
-  /// pin_cpus[i % size].  Empty = no pinning.
-  std::vector<int> pin_cpus;
-
+/// The pool's serving settings (port 5300 by default) plus the
+/// authority's own.
+struct Config : PoolConfig {
   bool dnscup = true;
   bool round_robin = false;
   net::Duration max_lease = net::seconds(3600);
@@ -114,14 +81,6 @@ struct Config {
   bool push_plane = false;
   uint16_t push_port = 0;
   push::PushServer::Config push;
-
-  std::size_t command_capacity = 256;
-
-  /// Datagrams a worker receives and serves per event-loop iteration
-  /// before flushing all buffered responses as one send batch.  Higher
-  /// values amortise syscalls under load at the cost of per-query
-  /// latency.
-  std::size_t batch_size = 32;
 };
 
 /// What start() recovered from the durable store, summed over shards.
@@ -156,15 +115,14 @@ class ServingRuntime {
 
   /// The serving endpoints: one entry in REUSEPORT mode, one per worker
   /// in fallback mode.
-  const std::vector<net::Endpoint>& endpoints() const { return endpoints_; }
-  bool reuseport_active() const { return reuseport_active_; }
+  const std::vector<net::Endpoint>& endpoints() const {
+    return pool_.endpoints();
+  }
+  bool reuseport_active() const { return pool_.reuseport_active(); }
   /// Name of the I/O backend actually serving ("portable" or "uring" —
   /// after any fallback).
-  std::string_view io_backend_name() const {
-    return workers_.empty() ? std::string_view{}
-                            : workers_.front()->io->backend_name();
-  }
-  int workers() const { return static_cast<int>(workers_.size()); }
+  std::string_view io_backend_name() const { return pool_.backend_name(); }
+  int workers() const { return pool_.size(); }
   const RecoverySummary& recovery() const { return recovery_; }
   bool durable() const { return writer_ != nullptr; }
 
@@ -179,7 +137,7 @@ class ServingRuntime {
 
   /// Microseconds since start() — the wall clock every shard's EventLoop
   /// advances to, so lease timestamps are comparable across shards.
-  net::SimTime now_us() const;
+  net::SimTime now_us() const { return pool_.now_us(); }
 
   // Cross-shard control plane (each call fans a command to every worker
   // and blocks for completion; callable from any non-worker thread).
@@ -188,9 +146,8 @@ class ServingRuntime {
   /// change count the diff detected (identical in every shard).
   std::size_t reload_zone(dns::Zone zone);
 
-  /// Merged snapshot: per-worker registries (scraped on their own
-  /// threads) + the journal writer's registry, aggregated with
-  /// Snapshot::merge.
+  /// Merged snapshot: the pool's merged worker registries + the journal
+  /// writer's, the push plane's and the planner's registries.
   metrics::Snapshot metrics();
 
   /// All shards' leases, collected on their owning threads.
@@ -207,51 +164,32 @@ class ServingRuntime {
   util::Status write_snapshot();
 
  private:
-  struct Worker {
-    explicit Worker(const Config& config);
-
-    int index = 0;
-    metrics::MetricsRegistry registry;
-    net::EventLoop loop{&registry};
-    WakeSignal wake;
-    BoundedMpscQueue<std::function<void()>> commands;
-    ShimTransport shim;
-    std::unique_ptr<net::IoBackend> io;
+  /// One worker's protocol stack.
+  struct Shard {
     std::unique_ptr<server::AuthServer> server;
     std::unique_ptr<core::DnscupAuthority> dnscup;
-    std::atomic<bool> stop{false};
-    std::thread thread;
   };
 
-  explicit ServingRuntime(Config config);
-
-  util::Status bind_sockets();
-  /// CPU for worker `index` per Config::pin_cpus (-1 = unpinned).
-  int pin_cpu_for(int index) const;
-  void worker_loop(Worker& worker);
-  /// Runs `fn` on worker `w` and waits.  After stop() the workers are
-  /// quiescent and the closure runs inline on the caller.
-  void run_on_worker(Worker& worker, std::function<void()> fn);
+  explicit ServingRuntime(Config config)
+      : config_(std::move(config)), pool_(config_) {}
 
   Config config_;
-  std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<net::Endpoint> endpoints_;
-  bool reuseport_active_ = false;
+  WorkerPool pool_;
+  /// In worker order; built before the workers start, never resized.
+  std::vector<Shard> shards_;
   store::PosixStorage storage_;
   std::unique_ptr<JournalWriter> writer_;
-  /// Declared after workers_: the push thread posts resolutions into
+  /// Declared after pool_: the push thread posts resolutions into
   /// worker command queues, so it must stop (destruction runs stop())
   /// while those queues still exist.
   std::unique_ptr<push::PushServer> push_;
   /// Registry for the push plane's instruments; scraped by metrics().
   metrics::MetricsRegistry push_registry_;
-  /// Declared after workers_ for the same reason as push_: workers feed
+  /// Declared after pool_ for the same reason as push_: workers feed
   /// the planner's queues, so it must outlive their threads (stop()
   /// joins workers before stopping the planner anyway).
   std::unique_ptr<planner::LeasePlanner> planner_;
   RecoverySummary recovery_;
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace dnscup::runtime

@@ -1,9 +1,9 @@
-// Batching transport facade shared by the serving runtimes (authority and
-// cache side).  While `batching` is on (a worker loop's steady state)
-// sends append into a reusable tx arena and leave as one backend batch
-// (sendmmsg / io_uring submit) when the loop calls flush(); off the worker
-// thread (and after drain) sends go straight through to the underlying
-// datagram backend.
+// Batching transport facade in front of each worker-pool socket
+// (worker_pool.h), under both daemons.  While `batching` is on (a worker
+// loop's steady state) sends append into a reusable tx arena and leave as
+// one backend batch (sendmmsg / io_uring submit) when the loop calls
+// flush(); off the worker thread (and after drain) sends go straight
+// through to the underlying datagram backend.
 #pragma once
 
 #include <span>

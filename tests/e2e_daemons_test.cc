@@ -7,6 +7,7 @@
 // and that without leases the cache is stale for the full TTL.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -37,6 +38,17 @@ dns::Zone zone_with(const char* address, uint32_t serial, uint32_t ttl) {
   return std::move(zone).value();
 }
 
+std::vector<uint8_t> encode_query(uint16_t id, const char* name) {
+  dns::Message query;
+  query.id = id;
+  query.flags.opcode = dns::Opcode::kQuery;
+  query.flags.rd = true;
+  query.questions.push_back(dns::Question{dns::Name::parse(name).value(),
+                                          dns::RRType::kA, dns::RRClass::kIN,
+                                          0});
+  return query.encode();
+}
+
 /// A stub client on its own socket; queries a server and blocks for the
 /// matching response.
 class Client {
@@ -56,20 +68,14 @@ class Client {
   }
 
   dns::Message query(const net::Endpoint& server, const char* name) {
-    dns::Message query;
-    query.id = next_id_++;
-    query.flags.opcode = dns::Opcode::kQuery;
-    query.flags.rd = true;
-    query.questions.push_back(dns::Question{dns::Name::parse(name).value(),
-                                            dns::RRType::kA,
-                                            dns::RRClass::kIN, 0});
-    udp_->send(server, query.encode());
+    const uint16_t id = next_id_++;
+    udp_->send(server, encode_query(id, name));
     dns::Message response;
     std::unique_lock lock(mutex_);
     const bool got =
         cv_.wait_for(lock, std::chrono::seconds(5), [&] {
           for (const dns::Message& m : responses_) {
-            if (m.flags.qr && m.id == query.id) {
+            if (m.flags.qr && m.id == id) {
               response = m;
               return true;
             }
@@ -78,6 +84,32 @@ class Client {
         });
     EXPECT_TRUE(got) << "no response for " << name;
     return response;
+  }
+
+  /// Sends `count` queries for `name` as one send batch, without waiting:
+  /// the whole burst is queued on the server's socket before its worker
+  /// has served one receive batch of it.
+  void send_burst(const net::Endpoint& server, const char* name,
+                  std::size_t count) {
+    std::vector<std::vector<uint8_t>> wires;
+    for (std::size_t i = 0; i < count; ++i) {
+      wires.push_back(encode_query(next_id_++, name));
+    }
+    std::vector<net::TxPacket> packets;
+    for (const auto& wire : wires) packets.push_back({server, wire});
+    udp_->send_batch(packets);
+  }
+
+  /// Waits (5 s at most) until `count` responses have arrived in all.
+  bool wait_responses(std::size_t count) {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return responses_.size() >= count; });
+  }
+
+  std::size_t responses() {
+    std::lock_guard lock(mutex_);
+    return responses_.size();
   }
 
   /// The A address in the response's answer section, or "" on none.
@@ -103,7 +135,8 @@ struct Pair {
   std::unique_ptr<cachert::CacheRuntime> cache;
 };
 
-Pair start_pair(uint32_t ttl, bool cache_dnscup, int cache_workers = 1) {
+Pair start_pair(uint32_t ttl, bool cache_dnscup, int cache_workers = 1,
+                bool cache_reuseport = true) {
   runtime::Config auth_config;
   auth_config.port = 0;
   auth_config.workers = 1;
@@ -114,11 +147,47 @@ Pair start_pair(uint32_t ttl, bool cache_dnscup, int cache_workers = 1) {
   cachert::Config cache_config;
   cache_config.port = 0;
   cache_config.workers = cache_workers;
+  cache_config.reuseport = cache_reuseport;
   cache_config.upstreams = {authority.value()->endpoints()[0]};
   cache_config.dnscup = cache_dnscup;
   auto cache = cachert::CacheRuntime::start(cache_config);
   EXPECT_TRUE(cache.ok());
   return Pair{std::move(authority).value(), std::move(cache).value()};
+}
+
+/// Floods `server` with one query from two sockets, as fast as they send,
+/// and calls `runtime.stop()` in the middle of it; returns how long the
+/// stop took.  The flood ends once stop() returns, or after 10 s.
+template <typename Runtime>
+std::chrono::steady_clock::duration stop_under_flood(
+    Runtime& runtime, const net::Endpoint& server) {
+  const std::vector<uint8_t> query = encode_query(1, "www.example.com");
+  // Bound here: binding registers instruments in the shared default
+  // registry, which only sending may touch from several threads.
+  std::vector<std::unique_ptr<net::UdpTransport>> sockets;
+  for (int i = 0; i < 2; ++i) {
+    auto bound = net::UdpTransport::bind(0);
+    EXPECT_TRUE(bound.ok());
+    if (bound.ok()) sockets.push_back(std::move(bound).value());
+  }
+  std::atomic<bool> done{false};
+  std::vector<std::thread> senders;
+  for (const auto& socket : sockets) {
+    senders.emplace_back([&done, &server, &query, udp = socket.get()] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+        udp->send(server, query);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto start = std::chrono::steady_clock::now();
+  runtime.stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  done.store(true);
+  for (std::thread& sender : senders) sender.join();
+  return took;
 }
 
 /// Polls the cache until `name` resolves to `address`; returns the time
@@ -247,6 +316,54 @@ TEST(E2eDaemons, StopIsIdempotentAndStatsSurvive) {
   EXPECT_FALSE(snapshot.entries.empty());
 
   pair.authority->stop();
+  pair.authority->stop();
+}
+
+// The cache workers' drain: every query already queued on the client
+// socket when stop() is called is answered (these are cache hits; only
+// upstream tasks in flight are abandoned).
+TEST(E2eDaemons, CacheStopAnswersEveryQueuedQuery) {
+  Pair pair = start_pair(300, /*cache_dnscup=*/true);
+  Client client;
+  const net::Endpoint cache = pair.cache->endpoints()[0];
+  client.query(cache, "www.example.com");  // warm: the burst is all hits
+
+  // Several receive batches, yet small enough for the socket buffers at
+  // both ends.
+  constexpr std::size_t kBurst = 128;
+  client.send_burst(cache, "www.example.com", kBurst);
+  pair.cache->stop();
+  EXPECT_TRUE(client.wait_responses(1 + kBurst))
+      << client.responses() - 1 << " of " << kBurst << " answered";
+  pair.authority->stop();
+}
+
+// The drain is bounded on both daemons: stop() returns promptly even
+// while a flood keeps the worker's socket queue from ever running empty.
+TEST(E2eDaemons, StopReturnsUnderFlood) {
+  Pair pair = start_pair(300, /*cache_dnscup=*/true);
+  Client client;
+  client.query(pair.cache->endpoints()[0], "www.example.com");
+  EXPECT_LT(stop_under_flood(*pair.cache, pair.cache->endpoints()[0]),
+            std::chrono::seconds(5));
+  EXPECT_LT(stop_under_flood(*pair.authority, pair.authority->endpoints()[0]),
+            std::chrono::seconds(5));
+}
+
+// Without SO_REUSEPORT every cache worker serves its own port, and each
+// answers.
+TEST(E2eDaemons, CachePerWorkerPortFallbackServesOnEveryPort) {
+  Pair pair = start_pair(300, /*cache_dnscup=*/true, /*cache_workers=*/2,
+                         /*cache_reuseport=*/false);
+  EXPECT_FALSE(pair.cache->reuseport_active());
+  ASSERT_EQ(pair.cache->endpoints().size(), 2u);
+  EXPECT_NE(pair.cache->endpoints()[0].port, pair.cache->endpoints()[1].port);
+  Client client;
+  for (const net::Endpoint& endpoint : pair.cache->endpoints()) {
+    EXPECT_EQ(Client::answer_a(client.query(endpoint, "www.example.com")),
+              "10.1.0.10");
+  }
+  pair.cache->stop();
   pair.authority->stop();
 }
 

@@ -1,4 +1,4 @@
-// Planner subsystem unit tests: demand table, λ estimators, incremental
+// Planner subsystem unit tests: demand table, λ estimator, incremental
 // planners (certified against the batch optimizers and the brute force),
 // and the LeasePlanner thread end-to-end in-process.
 #include <gtest/gtest.h>
@@ -162,66 +162,17 @@ TEST(DemandShard, PairKeyDistinguishesComponents) {
   EXPECT_GT(base, 1u);  // 0 and 1 are the empty and tombstone sentinels
 }
 
-// ---- λ estimators ---------------------------------------------------------
-
-TEST(LambdaEstimator, LastWindowTracksExactly) {
-  LambdaEstimator est(EstimatorKind::kLastWindow);
-  LambdaEstimator::State state;
-  EXPECT_DOUBLE_EQ(est.forecast(state), 0.0);  // unseeded
-  est.update(state, 4.0);
-  EXPECT_DOUBLE_EQ(est.forecast(state), 4.0);
-  est.update(state, 1.0);
-  EXPECT_DOUBLE_EQ(est.forecast(state), 1.0);
-}
+// ---- λ estimator ----------------------------------------------------------
 
 TEST(LambdaEstimator, EwmaSmoothsSpikes) {
-  LambdaEstimator est(EstimatorKind::kEwma, {0.3, 0.1});
-  LambdaEstimator::State state;
-  est.update(state, 1.0);  // seeds at 1.0
-  est.update(state, 10.0);
-  const double after_spike = est.forecast(state);
+  LambdaEstimator est;
+  EXPECT_DOUBLE_EQ(est.forecast(), 0.0);  // unseeded
+  est.update(1.0);  // seeds at 1.0
+  est.update(10.0);
+  const double after_spike = est.forecast();
   EXPECT_GT(after_spike, 1.0);
   EXPECT_LT(after_spike, 10.0);  // did not jump all the way
   EXPECT_NEAR(after_spike, 0.3 * 10.0 + 0.7 * 1.0, 1e-5);
-}
-
-TEST(LambdaEstimator, HoltBeatsEwmaOnRamp) {
-  // On a steadily climbing rate Holt's trend term extrapolates ahead,
-  // while EWMA always lags below the last observation.
-  LambdaEstimator holt(EstimatorKind::kHolt, {0.5, 0.5});
-  LambdaEstimator ewma(EstimatorKind::kEwma, {0.5, 0.5});
-  LambdaEstimator::State hs, es;
-  double holt_err = 0.0;
-  double ewma_err = 0.0;
-  for (int t = 1; t <= 40; ++t) {
-    const double rate = static_cast<double>(t);
-    if (t > 1) {
-      holt_err += std::abs(holt.forecast(hs) - rate);
-      ewma_err += std::abs(ewma.forecast(es) - rate);
-    }
-    holt.update(hs, rate);
-    ewma.update(es, rate);
-  }
-  EXPECT_LT(holt_err, ewma_err);
-}
-
-TEST(LambdaEstimator, HoltForecastClampedAtZero) {
-  LambdaEstimator est(EstimatorKind::kHolt, {0.8, 0.8});
-  LambdaEstimator::State state;
-  est.update(state, 100.0);
-  est.update(state, 1.0);
-  est.update(state, 0.0);  // steep decline -> negative raw trend
-  EXPECT_GE(est.forecast(state), 0.0);
-}
-
-TEST(LambdaEstimator, ParseAndNameRoundTrip) {
-  for (const auto kind : {EstimatorKind::kLastWindow, EstimatorKind::kEwma,
-                          EstimatorKind::kHolt}) {
-    const auto parsed = LambdaEstimator::parse(LambdaEstimator::name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(LambdaEstimator::parse("oracle").has_value());
 }
 
 // ---- incremental planners -------------------------------------------------

@@ -1,7 +1,8 @@
 // End-to-end tests of the sharded multi-worker serving runtime: real
 // sockets, N worker threads, lease grants over the wire, CACHE-UPDATE
-// fan-out on zone reload, cross-shard metrics aggregation and durable
-// journaling through the single-writer store.  These are also the tests
+// fan-out on zone reload, cross-shard metrics aggregation, durable
+// journaling through the single-writer store, and the worker pool's
+// drain on stop().  These are also the tests
 // the ThreadSanitizer leg of tools/check.sh runs.
 #include "runtime/runtime.h"
 
@@ -13,6 +14,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -54,6 +56,19 @@ Config test_config(int workers) {
   return config;
 }
 
+std::vector<uint8_t> encode_query(uint16_t id, const std::string& name,
+                                  bool ext) {
+  dns::Message query;
+  query.id = id;
+  query.flags.opcode = dns::Opcode::kQuery;
+  query.flags.rd = true;
+  query.flags.ext = ext;
+  query.questions.push_back(dns::Question{
+      dns::Name::parse(name).value(), dns::RRType::kA, dns::RRClass::kIN,
+      ext ? dns::rrc_from_rate(5.0) : static_cast<uint16_t>(0)});
+  return query.encode();
+}
+
 /// A client socket that decodes every inbound message, optionally acks
 /// CACHE-UPDATE pushes, and lets tests wait on predicates.
 class Client {
@@ -85,19 +100,12 @@ class Client {
   /// Sends one query and blocks for the matching response.
   dns::Message query(const net::Endpoint& server, const std::string& name,
                      bool ext) {
-    dns::Message query;
-    query.id = next_id_++;
-    query.flags.opcode = dns::Opcode::kQuery;
-    query.flags.rd = true;
-    query.flags.ext = ext;
-    query.questions.push_back(dns::Question{
-        dns::Name::parse(name).value(), dns::RRType::kA, dns::RRClass::kIN,
-        ext ? dns::rrc_from_rate(5.0) : static_cast<uint16_t>(0)});
-    udp_->send(server, query.encode());
+    const uint16_t id = next_id_++;
+    udp_->send(server, encode_query(id, name, ext));
     dns::Message response;
     const bool got = wait_for([&](const std::vector<dns::Message>& all) {
       for (const dns::Message& m : all) {
-        if (m.flags.qr && m.id == query.id) {
+        if (m.flags.qr && m.id == id) {
           response = m;
           return true;
         }
@@ -106,6 +114,20 @@ class Client {
     });
     EXPECT_TRUE(got) << "no response for " << name;
     return response;
+  }
+
+  /// Sends `count` plain queries for `name` as one send batch, without
+  /// waiting: the whole burst is queued on the server's socket before
+  /// its worker has served one receive batch of it.
+  void send_burst(const net::Endpoint& server, const std::string& name,
+                  std::size_t count) {
+    std::vector<std::vector<uint8_t>> wires;
+    for (std::size_t i = 0; i < count; ++i) {
+      wires.push_back(encode_query(next_id_++, name, false));
+    }
+    std::vector<net::TxPacket> packets;
+    for (const auto& wire : wires) packets.push_back({server, wire});
+    udp_->send_batch(packets);
   }
 
   /// Waits until `pred(messages)` holds (5s cap).
@@ -312,6 +334,59 @@ TEST(ServingRuntime, ShardedJournalingSurvivesRestart) {
     EXPECT_EQ(recovered.leases.size(), leases);
   }
   std::filesystem::remove_all(dir);
+}
+
+// The workers' drain: every query already queued on the socket when
+// stop() is called is answered before the worker exits.
+TEST(ServingRuntime, StopAnswersEveryQueuedQuery) {
+  auto started = ServingRuntime::start(test_config(2), {test_zone()});
+  ASSERT_TRUE(started.ok()) << started.error().to_string();
+  ServingRuntime& rt = *started.value();
+
+  // Several receive batches, yet small enough for the socket buffers at
+  // both ends.
+  constexpr std::size_t kBurst = 128;
+  Client client;
+  client.send_burst(rt.endpoints()[0], "w1.example.com", kBurst);
+  rt.stop();
+  EXPECT_TRUE(client.wait_for([](const std::vector<dns::Message>& all) {
+    return all.size() == kBurst;
+  })) << client.messages().size() << " of " << kBurst << " answered";
+}
+
+// The same drain on a bare pool, deterministically: the burst is queued
+// while the worker is held inside a command, and stop() is under way
+// before it resumes.
+TEST(WorkerPool, StopServesEveryQueuedDatagram) {
+  PoolConfig config;
+  config.port = 0;
+  WorkerPool pool(config);
+  ASSERT_TRUE(pool.bind(/*private_sockets=*/false).ok());
+  WorkerPool::Worker& worker = pool.worker(0);
+  worker.shim.set_receive_handler(
+      [&worker](const net::Endpoint& from, std::span<const uint8_t> data) {
+        worker.shim.send(from, data);  // echo
+      });
+  pool.start();
+
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  worker.commands.push([&held, released] {
+    held.set_value();
+    released.wait();
+  });
+  held.get_future().wait();
+  constexpr std::size_t kBurst = 128;
+  Client client;
+  client.send_burst(pool.endpoints()[0], "w1.example.com", kBurst);
+  std::thread stopper([&pool] { pool.stop(); });
+  while (!worker.stop.load()) std::this_thread::yield();
+  release.set_value();
+  stopper.join();
+  EXPECT_TRUE(client.wait_for([](const std::vector<dns::Message>& all) {
+    return all.size() == kBurst;
+  })) << client.messages().size() << " of " << kBurst << " echoed";
 }
 
 TEST(ServingRuntime, GracefulStopIsIdempotentAndPostStopInspectable) {

@@ -5,8 +5,10 @@
 # I/O and crash-path truncation, exactly where the sanitizers earn their
 # keep.  The cache side's cache_fast_path_test and lease_client_test ride
 # in the same leg: the fast path reads untrusted request bytes and does
-# the per-entry client-rate arithmetic on every hit.  --sanitize widens
-# the sanitizer leg to the whole tree.
+# the per-entry client-rate arithmetic on every hit.  Unless --no-e2e,
+# runtime_test and e2e_daemons_test join them: the worker pool under both
+# daemons binds sockets, loops and drains there.  --sanitize widens the
+# sanitizer leg to the whole tree.
 #
 # Tests are labeled unit / sim / e2e / push / planner / cachestore (see
 # tests/CMakeLists.txt).
@@ -494,21 +496,23 @@ case "$mode" in
     # cache_fast_path_test drives the cache-hit fast path over untrusted
     # request bytes, and with lease_client_test the per-entry client-rate
     # arithmetic (RRC reads, re-negotiation) that runs on every hit.
-    # e2e_daemons_test puts the cache-side runtime's socket plumbing
-    # under ASan/UBSan too; io_backend_parity_test covers the backends'
-    # buffer-ownership edges (recycling after partial pulls,
-    # stop/restart leaks).
+    # e2e_daemons_test and runtime_test put both daemons' runtimes under
+    # ASan/UBSan too: the worker pool's socket binding, loop and bounded
+    # drain, and the authority's sharded journaling; io_backend_parity_test
+    # covers the backends' buffer-ownership edges (recycling after
+    # partial pulls, stop/restart leaks).
     cmake -B "$repo_root/build-store-sanitize" -S "$repo_root" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDNSCUP_SANITIZE=address,undefined
     cmake --build "$repo_root/build-store-sanitize" -j "$jobs" \
       --target store_test recovery_test malformed_packet_test \
                cache_fast_path_test lease_client_test \
-               e2e_daemons_test io_backend_parity_test
+               e2e_daemons_test runtime_test io_backend_parity_test
     sanitize_tests='store_test|recovery_test|malformed_packet_test'
     sanitize_tests="$sanitize_tests|cache_fast_path_test|lease_client_test"
     if [ "$e2e" = yes ]; then
-      sanitize_tests="$sanitize_tests|e2e_daemons_test|io_backend_parity_test"
+      sanitize_tests="$sanitize_tests|e2e_daemons_test|runtime_test"
+      sanitize_tests="$sanitize_tests|io_backend_parity_test"
     fi
     ctest --test-dir "$repo_root/build-store-sanitize" \
       -R "^($sanitize_tests)\$" \

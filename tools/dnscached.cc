@@ -142,6 +142,7 @@ int main(int argc, char** argv) {
 
   cachert::Config config;
   opts.serving.apply(config);
+  config.dnscup = opts.serving.dnscup;
   config.upstreams = opts.upstreams;
   config.push_plane = opts.serving.push_plane;
   config.push_authority = opts.serving.push_authority;

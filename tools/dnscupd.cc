@@ -9,7 +9,7 @@
 // CACHE-UPDATE pushes on change).
 //
 // Usage:
-//   dnscupd --port 5300 --zone example.com=example.com.zone \
+//   dnscupd --port 5300 --zone example.com=example.com.zone
 //           [--zone other.org=other.zone] [--workers 4] [--no-reuseport]
 //           [--max-lease 3600] [--no-dnscup] [--round-robin] [--verbose]
 //           [--rcvbuf bytes] [--sndbuf bytes]
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "dns/zone_text.h"
-#include "planner/lambda_estimator.h"
 #include "runtime/runtime.h"
 #include "tool_common.h"
 #include "util/logging.h"
@@ -83,7 +82,6 @@ struct Options {
   bool planner = false;
   double lease_storage_budget = -1;  ///< expected live leases (SLP mode)
   double lease_msg_budget = -1;      ///< msgs/s (deprivation mode)
-  planner::EstimatorKind estimator = planner::EstimatorKind::kEwma;
   int64_t replan_interval_s = 30;
   int64_t planner_capacity = 1 << 21;
   int planner_shards = 4;
@@ -147,16 +145,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
         return false;
       }
       opts.planner = true;
-    } else if (arg == "--lambda-estimator") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      auto kind = planner::LambdaEstimator::parse(v);
-      if (!kind.has_value()) {
-        std::fprintf(stderr,
-                     "bad --lambda-estimator %s (last-window|ewma|holt)\n", v);
-        return false;
-      }
-      opts.estimator = *kind;
     } else if (arg == "--replan-interval") {
       if (!tools::parse_number("--replan-interval", next(), int64_t{0},
                                kMaxSeconds, opts.replan_interval_s)) {
@@ -195,7 +183,6 @@ int main(int argc, char** argv) {
         "[--fsync-policy always|interval|never]\n"
         "               [--snapshot-interval seconds]\n"
         "               [--lease-storage-budget N | --lease-msg-budget X]\n"
-        "               [--lambda-estimator last-window|ewma|holt]\n"
         "               [--replan-interval seconds] "
         "[--planner-capacity N]\n"
         "               [--planner-shards N]\n",
@@ -224,6 +211,7 @@ int main(int argc, char** argv) {
 
   runtime::Config config;
   opts.serving.apply(config);
+  config.dnscup = opts.serving.dnscup;
   config.round_robin = opts.round_robin;
   config.max_lease = net::seconds(opts.max_lease_s);
   config.state_dir = config.dnscup ? opts.state_dir : std::string();
@@ -239,7 +227,6 @@ int main(int argc, char** argv) {
       config.planner_config.mode = planner::LeasePlanner::Mode::kStorage;
       config.planner_config.storage_budget = opts.lease_storage_budget;
     }
-    config.planner_config.estimator = opts.estimator;
     config.planner_config.replan_interval =
         net::seconds(opts.replan_interval_s);
     config.planner_config.capacity =
@@ -287,11 +274,10 @@ int main(int argc, char** argv) {
     const auto& pc = rt.planner()->config();
     const bool storage = pc.mode == planner::LeasePlanner::Mode::kStorage;
     std::printf(
-        "dnscup planner: mode=%s %s-budget=%.1f estimator=%s replan=%llds "
-        "shards=%d capacity=%zu\n",
+        "dnscup planner: mode=%s %s-budget=%.1f replan=%llds shards=%d "
+        "capacity=%zu\n",
         storage ? "storage" : "comm", storage ? "storage" : "msg",
         storage ? pc.storage_budget : pc.message_budget,
-        planner::LambdaEstimator::name(pc.estimator),
         static_cast<long long>(net::to_seconds(pc.replan_interval)),
         pc.shards, pc.capacity);
     std::fflush(stdout);

@@ -214,6 +214,11 @@ struct Agent {
 };
 
 struct Load {
+  explicit Load(const Options& options)
+      : opts(options),
+        templates(build_templates(options)),
+        zipf(options.names, options.zipf_s) {}
+
   Options opts;
   QueryTemplates templates;
   util::ZipfDistribution zipf;
@@ -328,8 +333,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Load load{opts, build_templates(opts),
-            util::ZipfDistribution(opts.names, opts.zipf_s)};
+  Load load(opts);
   util::Rng seeder(opts.seed);
   const int64_t per_slot_interval_us =
       opts.qps > 0

@@ -10,15 +10,6 @@
 //   leaseplan --message-budget 50    < rates.txt   # §4.2.2
 //   leaseplan --fixed 3600           < rates.txt   # fixed-length baseline
 //   leaseplan --compare 1000         < rates.txt   # dynamic vs fixed table
-//   leaseplan --compare-estimators 1000 < trace.txt  # λ forecasting replay
-//
-// --compare-estimators replays a multi-epoch rate trace (one line per
-// pair: "<name> <cache> <max_lease_s> <r1> <r2> ... <rT>") through every
-// LambdaEstimator: at each epoch the estimator forecasts the next-epoch
-// rates, the SLP planner plans on the forecast, and the plan is charged
-// against the *true* next-epoch rates.  The report compares each
-// estimator's realized message rate against the oracle (planning with
-// perfect next-epoch knowledge) — the regret a worse forecast costs.
 //
 // With `--metrics-out file` every evaluated scheme's aggregate costs are
 // also published as leaseplan_* gauges and written as a JSON metrics
@@ -32,7 +23,6 @@
 #include <vector>
 
 #include "core/dynamic_lease.h"
-#include "planner/lambda_estimator.h"
 #include "util/metrics.h"
 
 using namespace dnscup;
@@ -95,109 +85,6 @@ void print_plan(const Input& input, const core::LeasePlan& plan) {
       plan.query_rate_percentage);
 }
 
-/// One pair's rate trace for --compare-estimators.
-struct TracePair {
-  std::string name;
-  std::size_t cache = 0;
-  double max_lease = 0.0;
-  std::vector<double> rates;  ///< per-epoch observed λ
-};
-
-bool read_trace(std::istream& in, std::vector<TracePair>& pairs) {
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t epochs = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    TracePair p;
-    if (!(is >> p.name >> p.cache >> p.max_lease)) {
-      std::fprintf(stderr, "bad trace line %zu: %s\n", lineno, line.c_str());
-      return false;
-    }
-    double rate = 0.0;
-    while (is >> rate) p.rates.push_back(rate);
-    if (p.rates.size() < 2) {
-      std::fprintf(stderr, "trace line %zu needs >= 2 epochs\n", lineno);
-      return false;
-    }
-    if (epochs == 0) {
-      epochs = p.rates.size();
-    } else if (p.rates.size() != epochs) {
-      std::fprintf(stderr, "trace line %zu has %zu epochs, expected %zu\n",
-                   lineno, p.rates.size(), epochs);
-      return false;
-    }
-    pairs.push_back(std::move(p));
-  }
-  return !pairs.empty();
-}
-
-/// Replays the trace through every estimator: plan on the forecast,
-/// charge against the truth, compare with the perfect-knowledge oracle.
-int compare_estimators(const std::vector<TracePair>& pairs, double budget,
-                       metrics::MetricsRegistry& registry) {
-  const std::size_t n = pairs.size();
-  const std::size_t epochs = pairs.front().rates.size();
-
-  // Oracle: plan every epoch on the true next-epoch rates.
-  std::vector<core::DemandEntry> truth(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    truth[i] = core::DemandEntry{i, pairs[i].cache, 0.0, pairs[i].max_lease};
-  }
-  double oracle_msgs = 0.0;
-  for (std::size_t t = 1; t < epochs; ++t) {
-    for (std::size_t i = 0; i < n; ++i) truth[i].rate = pairs[i].rates[t];
-    oracle_msgs += core::plan_storage_constrained(truth, budget)
-                       .total_message_rate;
-  }
-  oracle_msgs /= static_cast<double>(epochs - 1);
-
-  std::printf(
-      "# estimator comparison: SLP budget %.1f, %zu pairs, %zu epochs\n"
-      "%-14s %-14s %-16s %-14s %-10s\n",
-      budget, n, epochs, "estimator", "mean |λ err|", "realized msg/s",
-      "oracle msg/s", "regret %");
-  for (const auto kind :
-       {planner::EstimatorKind::kLastWindow, planner::EstimatorKind::kEwma,
-        planner::EstimatorKind::kHolt}) {
-    const planner::LambdaEstimator estimator(kind);
-    std::vector<planner::LambdaEstimator::State> states(n);
-    std::vector<core::DemandEntry> forecast = truth;
-    double abs_error = 0.0;
-    double realized_msgs = 0.0;
-    for (std::size_t t = 0; t + 1 < epochs; ++t) {
-      for (std::size_t i = 0; i < n; ++i) {
-        forecast[i].rate = estimator.update(states[i], pairs[i].rates[t]);
-        abs_error += std::abs(forecast[i].rate - pairs[i].rates[t + 1]);
-      }
-      core::LeasePlan plan = core::plan_storage_constrained(forecast, budget);
-      // Charge the forecast-based plan against what actually arrives.
-      for (std::size_t i = 0; i < n; ++i) {
-        truth[i].rate = pairs[i].rates[t + 1];
-      }
-      core::evaluate_plan(truth, plan);
-      realized_msgs += plan.total_message_rate;
-    }
-    abs_error /= static_cast<double>(n * (epochs - 1));
-    realized_msgs /= static_cast<double>(epochs - 1);
-    const double regret =
-        oracle_msgs > 0 ? 100.0 * (realized_msgs - oracle_msgs) / oracle_msgs
-                        : 0.0;
-    const char* name = planner::LambdaEstimator::name(kind);
-    std::printf("%-14s %-14.4f %-16.3f %-14.3f %-10.2f\n", name, abs_error,
-                realized_msgs, oracle_msgs, regret);
-    const metrics::Labels labels{{"estimator", name}};
-    registry.gauge("leaseplan_estimator_abs_error", labels).set(abs_error);
-    registry.gauge("leaseplan_realized_message_rate", labels)
-        .set(realized_msgs);
-    registry.gauge("leaseplan_oracle_message_rate", labels).set(oracle_msgs);
-    registry.gauge("leaseplan_estimator_regret_pct", labels).set(regret);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,7 +92,6 @@ int main(int argc, char** argv) {
   double message_budget = -1;
   double fixed = -1;
   double compare = -1;
-  double compare_estimators_budget = -1;
   std::string metrics_out;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() { return i + 1 < argc ? std::atof(argv[++i]) : -1.0; };
@@ -217,8 +103,6 @@ int main(int argc, char** argv) {
       fixed = next();
     } else if (std::strcmp(argv[i], "--compare") == 0) {
       compare = next();
-    } else if (std::strcmp(argv[i], "--compare-estimators") == 0) {
-      compare_estimators_budget = next();
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       metrics_out = argv[++i];
     } else {
@@ -226,42 +110,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (storage_budget < 0 && message_budget < 0 && fixed < 0 && compare < 0 &&
-      compare_estimators_budget < 0) {
+  if (storage_budget < 0 && message_budget < 0 && fixed < 0 && compare < 0) {
     std::fprintf(
         stderr,
         "usage: leaseplan --storage-budget N | --message-budget N |"
-        " --fixed T | --compare N |\n"
-        "                 --compare-estimators N  [--metrics-out file]"
-        " < rates.txt\n"
-        "input lines: <name> <cache-id> <rate_qps> <max_lease_s>\n"
-        "trace lines (--compare-estimators): <name> <cache-id>"
-        " <max_lease_s> <r1> <r2> ... <rT>\n");
+        " --fixed T | --compare N\n"
+        "                 [--metrics-out file] < rates.txt\n"
+        "input lines: <name> <cache-id> <rate_qps> <max_lease_s>\n");
     return 2;
   }
 
   metrics::MetricsRegistry registry;
-
-  if (compare_estimators_budget >= 0) {
-    std::vector<TracePair> pairs;
-    if (!read_trace(std::cin, pairs)) return 1;
-    registry.counter("leaseplan_demand_pairs") += pairs.size();
-    const int rc =
-        compare_estimators(pairs, compare_estimators_budget, registry);
-    if (rc != 0) return rc;
-    if (!metrics_out.empty()) {
-      std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
-        return 1;
-      }
-      const std::string json = registry.snapshot(0).to_json();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
-    return 0;
-  }
 
   Input input;
   if (!read_rates(std::cin, input)) return 1;

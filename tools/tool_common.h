@@ -18,6 +18,7 @@
 
 #include "net/endpoint.h"
 #include "net/io_backend.h"
+#include "runtime/worker_pool.h"
 #include "util/metrics.h"
 
 namespace dnscup::tools {
@@ -100,9 +101,9 @@ struct ServingFlags {
   uint16_t push_listen = 0;
   net::Endpoint push_authority{};
 
-  /// Copies into runtime::Config or cachert::Config (field names match).
-  template <class ConfigT>
-  void apply(ConfigT& config) const {
+  /// Copies the worker-pool settings into either daemon's runtime
+  /// Config; each daemon copies `dnscup` itself.
+  void apply(runtime::PoolConfig& config) const {
     config.port = port;
     config.workers = workers;
     config.reuseport = reuseport;
@@ -111,7 +112,6 @@ struct ServingFlags {
     config.sndbuf_bytes = sndbuf;
     config.io_backend = io_backend;
     config.pin_cpus = pin_cpus;
-    config.dnscup = dnscup;
   }
 };
 
